@@ -5,8 +5,9 @@ Two measurements around :mod:`repro.core.arraybfs` and
 stops at DG(2,12)":
 
 1. **Kernel speedup** — single-core wall-clock to compile the DG(2,12)
-   undirected next-hop table with the legacy pure-python BFS kernel vs
-   the whole-frontier numpy kernel, asserted byte-identical and >= 5x
+   undirected next-hop table with the python reference BFS
+   (:func:`~repro.core.arraybfs.reference_table_rows`) vs the
+   whole-frontier numpy kernel, asserted byte-identical and >= 5x
    faster.  This is the compiler the lazy shard tier runs on demand, so
    its speed bounds how fast cold destinations become O(1).
 2. **Sharded serving vs memory budget** — sustained resolve throughput
@@ -19,8 +20,8 @@ stops at DG(2,12)":
 
 Results append to ``BENCH_big_k.json`` at the repo root in the
 :mod:`repro.benchio` envelope.  ``test_big_k_smoke`` runs the same
-machinery on DG(2,10) for CI (array-kernel byte-identity when numpy is
-installed, then 500 queries through a 4 MB shard budget).
+machinery on DG(2,10) for CI (array-kernel byte-identity against the
+reference, then 500 queries through a 4 MB shard budget).
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ import random
 import time
 from typing import Dict, List, Tuple
 
-import pytest
-
 from repro.analysis.tables import format_kv_block, format_table
 from repro.benchio import append_record
-from repro.core.arraybfs import numpy_available
+from repro.core.arraybfs import reference_table_rows
 from repro.core.parallel import compile_table_buffers
 from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 
-#: The kernel-speedup graph: the biggest the legacy kernel can still
+#: The kernel-speedup graph: the biggest the python reference can still
 #: compile in benchmark-friendly time (~10 s serial).
 KERNEL_GRAPH: Tuple[int, int] = (2, 12)
 
@@ -63,13 +62,13 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 
 def _measure_kernel_speedup(d: int, k: int) -> Dict[str, object]:
-    """Serial python-kernel vs array-kernel compile, byte-identity checked."""
+    """Python reference vs array-kernel compile, byte-identity checked."""
     start = time.perf_counter()
-    py_dist, py_act = compile_table_buffers(d, k, workers=1, kernel="python")
+    py_dist, py_act = reference_table_rows(d, k, range(d**k))
     python_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    ar_dist, ar_act = compile_table_buffers(d, k, workers=1, kernel="array")
+    ar_dist, ar_act = compile_table_buffers(d, k, workers=1)
     array_seconds = time.perf_counter() - start
 
     assert bytes(ar_dist) == bytes(py_dist), "array kernel distance bytes diverged"
@@ -138,8 +137,6 @@ def _measure_serving(d: int, k: int, budgets_mb: Tuple[int, ...],
 
 def test_big_k(benchmark, report):
     """The full E22 measurement; writes BENCH_big_k.json."""
-    if not numpy_available():
-        pytest.skip("the array kernel needs numpy")
     d, k = KERNEL_GRAPH
 
     def measure():
@@ -192,15 +189,11 @@ def test_big_k_smoke(report):
     d, k = 2, 10
     n = d**k
 
-    py_dist, py_act = compile_table_buffers(d, k, workers=1, kernel="python")
-    if numpy_available():
-        ar_dist, ar_act = compile_table_buffers(d, k, workers=1,
-                                                kernel="array")
-        assert bytes(ar_dist) == bytes(py_dist)
-        assert bytes(ar_act) == bytes(py_act)
-        report(f"E22 smoke — DG({d},{k}) array kernel byte-identical")
-    else:
-        report("E22 smoke — numpy unavailable, array-identity leg not run")
+    py_dist, py_act = reference_table_rows(d, k, range(n))
+    ar_dist, ar_act = compile_table_buffers(d, k, workers=1)
+    assert bytes(ar_dist) == bytes(py_dist)
+    assert bytes(ar_act) == bytes(py_act)
+    report(f"E22 smoke — DG({d},{k}) array kernel byte-identical")
     table = CompiledRouteTable(d, k, False, bytes(py_act), bytes(py_dist))
 
     # 500 queries through a 4 MB budget, every answer checked against

@@ -17,9 +17,11 @@ from repro.core.routing import (
     shortest_path_undirected,
     shortest_path_unidirectional,
 )
-from repro.core.word import iter_words, word_to_int
+from repro.core.packed import PackedSpace
+from repro.core.word import iter_words
 
 D, K = 2, 5  # 32 vertices, 1024 ordered pairs
+SPACE = PackedSpace(D, K)
 
 
 def _verify_directed():
@@ -29,7 +31,7 @@ def _verify_directed():
     for x in iter_words(D, K):
         for y in iter_words(D, K):
             pairs += 1
-            expected = int(matrix[word_to_int(x, D), word_to_int(y, D)])
+            expected = int(matrix[SPACE.pack(x), SPACE.pack(y)])
             if directed_distance(x, y) != expected:
                 mismatches += 1
             path = shortest_path_unidirectional(x, y)
@@ -45,7 +47,7 @@ def _verify_undirected(method):
     for x in iter_words(D, K):
         for y in iter_words(D, K):
             pairs += 1
-            expected = int(matrix[word_to_int(x, D), word_to_int(y, D)])
+            expected = int(matrix[SPACE.pack(x), SPACE.pack(y)])
             if undirected_distance(x, y, method) != expected:
                 mismatches += 1
             path = shortest_path_undirected(x, y, method=method)

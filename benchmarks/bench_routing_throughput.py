@@ -14,9 +14,9 @@ performance layer of this PR buys on top:
 2. **Plan-only throughput** — plans/sec, cold vs. warm cache.
 3. **Shift arithmetic** — per-hop word updates/sec, tuple rebuilds vs.
    O(1) packed div-mod (:mod:`repro.core.packed`).
-4. **Distance rows** — BFS row construction, tuple-dict
-   ``distances_from`` vs. the packed bytearray engine of
-   :mod:`repro.core.batch`.
+4. **Distance rows** — BFS row construction, the generic tuple-dict
+   ``graphs.traversal.bfs_distances`` vs. the packed bytearray row of
+   :mod:`repro.core.batch` (the array kernel).
 5. **Crossover sweep** — ``undirected_witness`` via the O(k²) matching
    method vs. the O(k) suffix tree across k; the last k where matching
    wins is the measured value behind ``distance.AUTO_METHOD_CUTOVER``
@@ -42,12 +42,13 @@ from repro.benchio import append_record
 from repro.core.batch import distances_row
 from repro.core.distance import (
     AUTO_METHOD_CUTOVER,
-    distances_from,
     undirected_witness_matching,
     undirected_witness_suffix_tree,
 )
 from repro.core.packed import PackedSpace
 from repro.core.word import left_shift, random_word, right_shift
+from repro.graphs.debruijn import undirected_graph
+from repro.graphs.traversal import bfs_distances
 from repro.network.router import BidirectionalOptimalRouter
 from repro.network.simulator import Simulator, run_workload
 
@@ -163,10 +164,11 @@ def _measure_bfs_rows(d: int, k: int, sources: int = 8) -> Dict[str, float]:
     rng = random.Random(3 * d + k)
     space = PackedSpace(d, k)
     words = [random_word(d, k, rng) for _ in range(sources)]
+    graph = undirected_graph(d, k)
 
     start = time.perf_counter()
     for w in words:
-        distances_from(w, d)
+        bfs_distances(graph, w)
     tuple_rate = sources / (time.perf_counter() - start)
 
     start = time.perf_counter()

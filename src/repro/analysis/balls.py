@@ -16,48 +16,39 @@ the closed form.  This module measures the effect:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Tuple
+from itertools import accumulate
+from typing import List, Tuple
 
-from repro.core.word import WordTuple, iter_words, left_shift, validate_parameters
+from repro.core.batch import distance_counts, distances_row
+from repro.core.packed import PackedSpace
+from repro.core.word import WordTuple, validate_parameters
 
 
 def directed_ball_profile(x: WordTuple, d: int) -> List[int]:
     """``[|ball_0|, |ball_1|, ..., |ball_k|]`` for out-balls from ``x``.
 
-    BFS over left shifts; ``ball_k`` is always the whole graph (d^k).
+    One directed BFS row from ``x``; ``ball_k`` is always the whole
+    graph (d^k).
     """
     k = len(x)
-    distances: Dict[WordTuple, int] = {x: 0}
-    queue = deque([x])
-    while queue:
-        current = queue.popleft()
-        if distances[current] == k:
-            continue
-        for a in range(d):
-            nxt = left_shift(current, a)
-            if nxt not in distances:
-                distances[nxt] = distances[current] + 1
-                queue.append(nxt)
-    profile = [0] * (k + 1)
-    for dist in distances.values():
-        profile[dist] += 1
+    space = PackedSpace(d, k)
+    row = distances_row(space, space.pack_checked(x), directed=True)
+    layers = [0] * (k + 1)
+    for dist in row:
+        layers[dist] += 1
     # Cumulative: ball_t = vertices within distance t.
-    for t in range(1, k + 1):
-        profile[t] += profile[t - 1]
-    return profile
+    return list(accumulate(layers))
 
 
 def mean_ball_profile(d: int, k: int) -> List[float]:
-    """Mean |ball_t| over every source vertex of DG(d, k)."""
+    """Mean |ball_t| over every source vertex of DG(d, k).
+
+    Summed over sources, the ball sizes are the cumulative all-pairs
+    distance counts, so this needs no per-source loop.
+    """
     validate_parameters(d, k)
-    totals = [0] * (k + 1)
-    count = 0
-    for x in iter_words(d, k):
-        for t, size in enumerate(directed_ball_profile(x, d)):
-            totals[t] += size
-        count += 1
-    return [total / count for total in totals]
+    n = d**k
+    return [total / n for total in accumulate(distance_counts(d, k, True))]
 
 
 def model_ball_profile(d: int, k: int) -> List[int]:

@@ -8,9 +8,9 @@ the pure implementations in the integration tests.
 * :func:`directed_distance_matrix` evaluates Property 1 for all pairs at
   once: for each overlap length ``s``, "suffix_s(X) == prefix_s(Y)" is one
   broadcast integer comparison.
-* :func:`undirected_distance_matrix` runs a synchronous multi-source BFS:
-  one boolean frontier per source, advanced simultaneously through the 2d
-  shift maps (which are index gathers).
+* :func:`undirected_distance_matrix` (and its directed twin
+  :func:`directed_bfs_distance_matrix`, the BFS oracle for Property 1)
+  runs the lockstep all-sources BFS of :mod:`repro.core.arraybfs`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.arraybfs import fill_matrix_rows
 from repro.core.word import validate_parameters
 from repro.exceptions import InvalidParameterError
 
@@ -40,7 +41,7 @@ def directed_distance_matrix(d: int, k: int) -> np.ndarray:
     """``D[x, y]`` = directed distance, with vertices in integer encoding.
 
     The integer encoding is base-d with the head digit most significant
-    (see :func:`repro.core.word.word_to_int`).
+    (see :meth:`repro.core.packed.PackedSpace.pack`).
     """
     n = _check_size(d, k)
     values = np.arange(n, dtype=np.int64)
@@ -53,63 +54,26 @@ def directed_distance_matrix(d: int, k: int) -> np.ndarray:
     return (k - overlap).astype(np.int8)
 
 
-def shift_index_vectors(d: int, k: int) -> List[np.ndarray]:
-    """The 2d shift maps as integer index vectors over 0..N-1.
+def _bfs_distance_matrix(d: int, k: int, directed: bool) -> np.ndarray:
+    """All-sources BFS distances as an ``int8`` N x N matrix.
 
-    Entry ``a`` of the first d vectors maps ``v`` to ``v^-(a)``; the next d
-    map ``v`` to ``v^+(a)``.
+    The kernel's 0xFF "unreachable" byte is exactly -1 in the int8 view,
+    and real distances never exceed k < 127.
     """
-    n = d**k
-    values = np.arange(n, dtype=np.int64)
-    vectors: List[np.ndarray] = []
-    for a in range(d):
-        vectors.append((values % (d ** (k - 1))) * d + a)  # left shift
-    for a in range(d):
-        vectors.append(values // d + a * d ** (k - 1))  # right shift
-    return vectors
+    n = _check_size(d, k)
+    flat = bytearray(n * n)
+    fill_matrix_rows(d, k, range(n), directed, flat)
+    return np.frombuffer(flat, dtype=np.int8).reshape(n, n)
 
 
 def undirected_distance_matrix(d: int, k: int) -> np.ndarray:
-    """``D[x, y]`` = undirected distance, by synchronous multi-source BFS."""
-    n = _check_size(d, k)
-    shifts = shift_index_vectors(d, k)
-    dist = np.full((n, n), -1, dtype=np.int8)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(n, dtype=bool)
-    level = 0
-    while frontier.any():
-        level += 1
-        reached = np.zeros_like(frontier)
-        for index in shifts:
-            # w is newly reachable if any of its shift-neighbors was in the
-            # frontier; the shift relation is symmetric as a neighborhood.
-            reached |= frontier[:, index]
-        new = reached & (dist < 0)
-        dist[new] = level
-        frontier = new
-        if level > k and frontier.any():  # pragma: no cover - diameter bound
-            raise InvalidParameterError("BFS exceeded the diameter bound k")
-    return dist
+    """``D[x, y]`` = undirected distance, by all-sources BFS."""
+    return _bfs_distance_matrix(d, k, directed=False)
 
 
 def directed_bfs_distance_matrix(d: int, k: int) -> np.ndarray:
-    """Directed distances by multi-source BFS (oracle for Property 1).
-
-    Delegates to the shared packed-BFS kernel in
-    :mod:`repro.core.parallel` (the same rows the route-table compiler
-    shards), then reinterprets the flat byte buffer: the kernel's 0xFF
-    "unreachable" sentinel is exactly -1 in the int8 view, and real
-    distances never exceed k < 127.
-    """
-    from repro.core.parallel import distance_matrix_flat
-
-    n = _check_size(d, k)
-    flat = distance_matrix_flat(d, k, directed=True, workers=1)
-    return (
-        np.frombuffer(bytes(flat), dtype=np.uint8)
-        .reshape(n, n)
-        .view(np.int8)
-    )
+    """Directed distances by all-sources BFS (oracle for Property 1)."""
+    return _bfs_distance_matrix(d, k, directed=True)
 
 
 def average_distance_exact(matrix: np.ndarray) -> float:

@@ -232,11 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="BFS shard processes (default min(4, cpus))")
     p_ct.add_argument("--chunk-size", type=int, default=None,
                       help="destination rows per work-queue item")
-    p_ct.add_argument("--kernel", default="auto",
-                      choices=["auto", "array", "python"],
-                      help="BFS engine per chunk: the numpy whole-frontier "
-                           "kernel, the pure-python loop, or auto-detect "
-                           "(identical output bytes either way)")
     p_ct.add_argument("--output", default=None,
                       help="table file path (default dg<d>-<k>-<uni|bi>.routes)")
     p_ct.add_argument("--verify", type=int, default=0, metavar="PAIRS",
@@ -344,10 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shard-threshold", type=int, default=1,
                          help="queries a cold destination group needs before "
                               "its shard compile is scheduled")
-    p_serve.add_argument("--kernel", default="auto",
-                         choices=["auto", "array", "python"],
-                         help="BFS engine for --compile-table and shard "
-                              "compiles")
     p_serve.add_argument("--cache-size", type=int, default=4096,
                          help="RouteCache entries for the planner tier "
                               "(0 disables caching)")
@@ -872,7 +863,7 @@ def _cmd_compile_tables(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     table = CompiledRouteTable.compile(
         args.d, args.k, directed=args.directed,
-        workers=workers, chunk_size=args.chunk_size, kernel=args.kernel,
+        workers=workers, chunk_size=args.chunk_size,
     )
     compile_seconds = time.perf_counter() - start
     output = args.output or (
@@ -900,7 +891,6 @@ def _cmd_compile_tables(args: argparse.Namespace) -> int:
         ("sites", table.order),
         ("orientation", "directed" if args.directed else "undirected"),
         ("workers", workers),
-        ("kernel", args.kernel),
         ("compile seconds", round(compile_seconds, 3)),
         ("table bytes", table.nbytes),
         ("bytes per pair", table.nbytes / (table.order ** 2)),
@@ -1073,7 +1063,7 @@ def _serve_spec(args: argparse.Namespace):
     if args.workers > 1 and args.compile_table:
         from repro.core.tables import CompiledRouteTable
 
-        table = CompiledRouteTable.compile(args.d, args.k, kernel=args.kernel)
+        table = CompiledRouteTable.compile(args.d, args.k)
         handle = tempfile.NamedTemporaryFile(
             prefix="repro-table-", suffix=".bin", delete=False)
         handle.close()
@@ -1092,7 +1082,6 @@ def _serve_spec(args: argparse.Namespace):
         shard_rows=args.shard_rows,
         shard_dir=shard_dir,
         shard_threshold=args.shard_threshold,
-        kernel=args.kernel,
         cache_size=args.cache_size,
     )
     return spec, cleanup

@@ -35,8 +35,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.codec import peek_source
 from repro.cluster.node import ClusterNodeSpec, cluster_node_main, table_digest
+from repro.core.arraybfs import ACTION_UNREACHABLE
 from repro.core.packed import PackedSpace
-from repro.core.parallel import ACTION_UNREACHABLE
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.resilience import compile_with_failures
 from repro.service.chaosproxy import DatagramFaultPlan, UdpChaosProxy

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.parallel import ACTION_AT_DESTINATION, ACTION_UNREACHABLE
+from repro.core.arraybfs import ACTION_AT_DESTINATION, ACTION_UNREACHABLE
 from repro.core.tables import CompiledRouteTable
 from repro.exceptions import RoutingError
 from repro.network.membership import SwimConfig

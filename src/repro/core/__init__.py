@@ -56,12 +56,9 @@ from repro.core.suffix_tree import GeneralizedSuffixTree, SuffixTree
 from repro.core.word import (
     Word,
     WordTuple,
-    from_packed,
     iter_words,
-    packed_space,
     parse_word,
     random_word,
-    to_packed,
 )
 
 __all__ = [
@@ -84,9 +81,6 @@ __all__ = [
     "distance_matrix",
     "distances_row",
     "equation5_crosscheck",
-    "from_packed",
-    "packed_space",
-    "to_packed",
     "undirected_distances_many",
     "directed_average_distance_closed_form",
     "directed_average_distance_exact",

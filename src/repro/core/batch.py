@@ -5,18 +5,18 @@ O(k) each — but all-pairs and one-to-many workloads (gravity tables,
 average-distance studies, warm-up of routing caches) repeat per-call setup
 that can be hoisted:
 
-* :func:`distance_matrix` / :func:`distances_row` — implicit BFS from each
-  source over *packed* integer words (:mod:`repro.core.packed`).  The
-  frontier is a plain int list, the distance row a ``bytearray``, and the
-  neighbor arithmetic O(1) div-mod, so a whole N-entry row costs O(N·d)
-  with no tuple allocation at all.
+* :func:`distance_matrix` / :func:`distances_row` — BFS distance rows
+  over *packed* integer words, filled whole frontiers at a time by the
+  kernel of :mod:`repro.core.arraybfs` into ``bytearray`` rows, with no
+  tuple allocation at all.
 * :func:`undirected_distances_many` — builds the suffix structure of the
   fixed word ``x`` *once* (a suffix automaton, the online equivalent of
   the paper's Algorithm-4 prefix tree) and then streams each query ``y``
   through it in O(k), instead of rebuilding a generalized suffix tree per
   pair.
-* :func:`average_distance_packed` / :func:`equation5_crosscheck` — exact
-  all-pairs average distances from streamed BFS rows, cross-checked
+* :func:`distance_counts` / :func:`average_distance_packed` /
+  :func:`equation5_crosscheck` — the exact all-pairs distance
+  distribution and mean from streamed BFS rows, cross-checked
   against the paper's Equation (5) closed form (which EXPERIMENTS.md E2
   shows to be an upper bound).
 
@@ -26,48 +26,19 @@ Everything here is validated exhaustively against the pair functions in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
-from repro.core.arraybfs import fill_matrix_rows, resolve_kernel
+import numpy as np
+
+from repro.core.arraybfs import (
+    ACTION_UNREACHABLE,
+    DEFAULT_BLOCK_ROWS,
+    check_byte_rows,
+    fill_matrix_rows,
+)
 from repro.core.packed import PackedSpace
-from repro.core.word import WordTuple, validate_parameters, validate_word
+from repro.core.word import WordTuple, validate_word
 from repro.exceptions import InvalidWordError
-
-#: BFS sentinel for "not reached yet"; valid because diameters are <= k < 255.
-_UNSEEN = 0xFF
-
-
-def _bfs_fill(space: PackedSpace, source: int, directed: bool, row: bytearray) -> None:
-    """Fill ``row`` with BFS distances from packed ``source`` (in place).
-
-    ``row`` must be pre-set to ``_UNSEEN``.  Level-synchronous BFS over
-    packed ints: type-L children of ``v`` are the contiguous block
-    ``range((v % d^(k-1))·d, ... + d)``, type-R children stride by
-    ``d^(k-1)`` — no tuples, no dict, no deque.
-    """
-    d = space.d
-    high = space.high
-    row[source] = 0
-    frontier = [source]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt: List[int] = []
-        push = nxt.append
-        for v in frontier:
-            base = (v % high) * d
-            for w in range(base, base + d):
-                if row[w] == _UNSEEN:
-                    row[w] = dist
-                    push(w)
-            if not directed:
-                body = v // d
-                for a in range(d):
-                    w = a * high + body
-                    if row[w] == _UNSEEN:
-                        row[w] = dist
-                        push(w)
-        frontier = nxt
 
 
 def distances_row(
@@ -76,73 +47,58 @@ def distances_row(
     """BFS distances from packed ``source`` to every vertex, as a bytearray.
 
     ``row[value]`` is the distance to the vertex whose packed encoding is
-    ``value`` (see :meth:`PackedSpace.pack`).  The allocation-free batch
-    analogue of :func:`repro.core.distance.distances_from`.
+    ``value`` (see :meth:`PackedSpace.pack`).
     """
     if not 0 <= source < space.order:
         raise InvalidWordError(
             f"packed source {source} outside 0..{space.order - 1}"
         )
-    if space.k >= _UNSEEN:
-        raise InvalidWordError(f"k = {space.k} overflows the bytearray row")
-    row = bytearray([_UNSEEN]) * space.order
-    _bfs_fill(space, source, directed, row)
+    row = bytearray(space.order)
+    fill_matrix_rows(space.d, space.k, (source,), directed, row)
     return row
 
 
-def distance_matrix(d: int, k: int, directed: bool = False,
-                    kernel: Optional[str] = None) -> List[bytearray]:
-    """The full N x N distance matrix of DG(d, k) by N packed BFS sweeps.
+def distance_matrix(d: int, k: int, directed: bool = False) -> List[bytearray]:
+    """The full N x N distance matrix of DG(d, k), one bytearray per source.
 
     ``matrix[pack(x)][pack(y)]`` is D(X, Y); O(N²·d) time, N² bytes of
-    memory.  For DG(2, 12) (N = 4096) this is a 16 MiB matrix built in a
-    few seconds — the tuple-dict BFS of ``distances_from`` is roughly an
-    order of magnitude slower and far more allocation-heavy.
-
-    ``kernel`` picks the sweep engine: ``"array"`` runs the whole-
-    frontier numpy kernel of :mod:`repro.core.arraybfs` (byte-identical
-    rows, much faster), ``"python"`` the loop below, ``"auto"``/None
-    whichever is available.
+    memory, filled by the lockstep kernel of :mod:`repro.core.arraybfs`.
     """
-    validate_parameters(d, k)
-    space = PackedSpace(d, k)
-    if space.k >= _UNSEEN:
-        raise InvalidWordError(f"k = {k} overflows the bytearray rows")
-    if resolve_kernel(kernel) == "array":
-        flat = bytearray(space.order * space.order)
-        fill_matrix_rows(d, k, 0, space.order, directed, flat)
-        n = space.order
-        return [flat[i * n:(i + 1) * n] for i in range(n)]
-    template = bytearray([_UNSEEN]) * space.order
-    matrix: List[bytearray] = []
-    for source in range(space.order):
-        row = bytearray(template)
-        _bfs_fill(space, source, directed, row)
-        matrix.append(row)
-    return matrix
+    n = check_byte_rows(d, k)
+    flat = bytearray(n * n)
+    fill_matrix_rows(d, k, range(n), directed, flat)
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def distance_counts(d: int, k: int, directed: bool = False) -> List[int]:
+    """``counts[t]`` = ordered pairs (X, Y) of DG(d, k) with D(X, Y) = t.
+
+    Streams the distance matrix in blocks of source rows, so memory
+    stays O(block · N) however large the graph.
+    """
+    n = check_byte_rows(d, k)
+    counts = np.zeros(ACTION_UNREACHABLE + 1, dtype=np.int64)
+    buf = bytearray(min(n, DEFAULT_BLOCK_ROWS) * n)
+    for start in range(0, n, DEFAULT_BLOCK_ROWS):
+        stop = min(start + DEFAULT_BLOCK_ROWS, n)
+        rows = memoryview(buf)[:(stop - start) * n]
+        fill_matrix_rows(d, k, range(start, stop), directed, rows)
+        counts += np.bincount(np.frombuffer(rows, dtype=np.uint8),
+                              minlength=counts.size)
+    return [int(c) for c in counts[:k + 1]]
 
 
 def average_distance_packed(d: int, k: int, directed: bool = False) -> float:
     """Exact mean distance over all ordered pairs (including X == Y).
 
-    Streams one reusable BFS row per source instead of materialising the
-    matrix, so memory stays O(N).  Agrees with
+    Agrees with
     :func:`repro.core.average_distance.directed_average_distance_exact` /
     ``undirected_average_distance_exact`` (checked in the tests) while
     scaling to graphs an order of magnitude larger.
     """
-    validate_parameters(d, k)
-    space = PackedSpace(d, k)
-    if space.k >= _UNSEEN:
-        raise InvalidWordError(f"k = {k} overflows the bytearray rows")
-    template = bytes([_UNSEEN]) * space.order
-    row = bytearray(template)
-    total = 0
-    for source in range(space.order):
-        row[:] = template
-        _bfs_fill(space, source, directed, row)
-        total += sum(row)
-    return total / (space.order * space.order)
+    counts = distance_counts(d, k, directed)
+    total = sum(t * c for t, c in enumerate(counts))
+    return total / (d**k * d**k)
 
 
 def equation5_crosscheck(d: int, k: int) -> Dict[str, float]:

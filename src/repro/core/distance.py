@@ -197,36 +197,6 @@ def undirected_distance(x: WordTuple, y: WordTuple, method: Method = "auto") -> 
     return undirected_witness(x, y, method).distance
 
 
-def distances_from(
-    x: WordTuple, d: int, directed: bool = False
-) -> "dict[WordTuple, int]":
-    """Distances from ``x`` to every vertex of DG(d, k), by implicit BFS.
-
-    O(N·d) — far cheaper than N separate O(k)/O(k²) pair computations when
-    a whole row of the distance matrix is needed (e.g. building gravity
-    tables or eccentricity checks).  Cross-validated against the pair
-    functions in the tests.
-    """
-    from collections import deque
-
-    from repro.core.word import left_shift, right_shift, validate_word
-
-    k = len(x)
-    validate_word(x, d, k)
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        current = queue.popleft()
-        nbrs = [left_shift(current, a) for a in range(d)]
-        if not directed:
-            nbrs.extend(right_shift(current, a) for a in range(d))
-        for nxt in nbrs:
-            if nxt not in dist:
-                dist[nxt] = dist[current] + 1
-                queue.append(nxt)
-    return dist
-
-
 def _common_length(x: WordTuple, y: WordTuple) -> int:
     if len(x) != len(y):
         raise InvalidWordError(f"words {x!r} and {y!r} have different lengths")

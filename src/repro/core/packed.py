@@ -8,10 +8,10 @@ vertices, the simulator's per-hop arithmetic) this module packs a word
 
     ``value = x_1·d^(k-1) + x_2·d^(k-2) + ... + x_k``
 
-(head digit most significant — the same encoding as
-:func:`repro.core.word.word_to_int`, so packed values and tuple code
-interoperate freely).  Both shift operations then become O(1) div-mod
-arithmetic on machine ints (for ``d**k`` within a machine word):
+(head digit most significant, so packed values count up in
+:func:`repro.core.word.iter_words` order and tuple code interoperates
+freely).  Both shift operations then become O(1) div-mod arithmetic on
+machine ints (for ``d**k`` within a machine word):
 
 * left shift  ``X^-(a)``:  ``(value % d^(k-1)) * d + a``
 * right shift ``X^+(a)``:  ``a * d^(k-1) + value // d``
@@ -188,24 +188,3 @@ class PackedSpace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedSpace(d={self.d}, k={self.k})"
 
-
-def pack(word: WordTuple, d: int) -> int:
-    """Validate and pack a digit tuple (module-level convenience)."""
-    return PackedSpace(d, len(word)).pack_checked(word)
-
-
-def unpack(value: int, d: int, k: int) -> WordTuple:
-    """Unpack a base-d integer into a length-k digit tuple."""
-    return PackedSpace(d, k).unpack(value)
-
-
-def packed_left_shift(value: int, digit: int, d: int, k: int) -> int:
-    """One-off packed left shift (prefer :class:`PackedSpace` in loops)."""
-    high = d ** (k - 1)
-    return (value % high) * d + digit
-
-
-def packed_right_shift(value: int, digit: int, d: int, k: int) -> int:
-    """One-off packed right shift (prefer :class:`PackedSpace` in loops)."""
-    high = d ** (k - 1)
-    return digit * high + value // d

@@ -1,50 +1,37 @@
-"""Multiprocess sharded BFS: all-pairs structure at worker-count speed.
+"""Multiprocess table compile: all N routing rows at worker-count speed.
 
-:mod:`repro.core.batch` made one BFS row cheap (packed ints, bytearray
-rows); this module makes *all N rows* cheap by fanning row chunks across
-worker processes.  The design is the classical shared-memory shard
-pattern:
+:mod:`repro.core.arraybfs` makes a block of BFS rows cheap; this module
+makes *all N rows* of a compiled route table cheap by fanning row
+chunks across worker processes:
 
-* the parent allocates flat ``N x N`` byte buffers in
-  :mod:`multiprocessing.shared_memory`,
-* a chunked work queue hands out ``[start, stop)`` row ranges (so slow
-  and fast rows load-balance dynamically),
-* each worker runs the packed BFS kernel of :mod:`repro.core.batch` (or
-  the reverse-BFS next-hop kernel used by :mod:`repro.core.tables`) and
-  writes its rows straight into the shared buffer — no pickling of
-  results, no per-row IPC.
+* the parent maps two anonymous shared ``N x N``-byte buffers
+  (``mmap.mmap(-1, N*N)``, inherited across ``fork``),
+* a chunked work queue hands out ``[start, stop)`` destination ranges
+  (so slow and fast rows load-balance dynamically),
+* each worker runs the array kernel on its chunk and writes the rows
+  straight into the shared mapping — no pickling of results, no per-row
+  IPC, and no named segment a resource tracker would have to clean up.
 
-Workers are started with the ``fork`` start method so the shared-memory
-views and the work queue are inherited directly.  Where ``fork`` is
-unavailable (or only one worker is requested, or the shared segment
-cannot be allocated) everything **falls back to the serial in-process
-fill** — same kernels, same output bytes, just one process.  The
-parallel and serial fills are asserted byte-identical in
-``tests/test_parallel.py``.
+Where ``fork`` is unavailable, or only one worker is requested, the
+whole table is filled in-process by the same kernel — the same output
+bytes, just one process (asserted in ``tests/test_parallel.py``).
 
-Two row layouts are produced:
-
-* ``"matrix"`` — source-major distance rows (``buf[src * N + dst]``),
-  exactly :func:`repro.core.batch.distance_matrix` flattened;
-* ``"table"`` — destination-major *routing* rows: for each destination a
-  distance row **and** a next-hop action row (one byte per source; see
-  :mod:`repro.core.tables` for the action encoding), built by BFS from
-  the destination over in-neighbors so that following actions traces a
-  shortest path.
+The layout is destination-major *routing* rows: for each destination a
+distance row **and** a next-hop action row (one byte per source; see
+:mod:`repro.core.tables` for the action encoding), built by BFS from
+the destination over in-neighbors so that following actions traces a
+shortest path.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core import arraybfs
-from repro.core.arraybfs import resolve_kernel
-from repro.core.batch import _UNSEEN, _bfs_fill
-from repro.core.packed import PackedSpace
-from repro.core.word import validate_parameters
-from repro.exceptions import InvalidParameterError, InvalidWordError
+from repro.core.arraybfs import check_byte_rows, fill_table_rows
+from repro.exceptions import InvalidParameterError
 
 #: Rows per work-queue item; small enough to load-balance, large enough
 #: that queue traffic is negligible next to the BFS work.
@@ -57,12 +44,6 @@ MAX_DEFAULT_WORKERS = 4
 #: Refuse buffers beyond this many cells (2 GiB) — all-pairs structure
 #: for larger graphs needs out-of-core compilation, not one mmap.
 MAX_CELLS = 2**31
-
-#: Next-hop action row sentinels (shared with :mod:`repro.core.tables`).
-ACTION_AT_DESTINATION = 0xFE
-ACTION_UNREACHABLE = 0xFF
-
-_KINDS = ("matrix", "table")
 
 
 def available_cpus() -> int:
@@ -97,8 +78,7 @@ def chunk_ranges(total: int, chunk_size: int) -> List[Tuple[int, int]]:
 
 def _check_buffer_size(d: int, k: int) -> int:
     """Validate (d, k) for flat all-pairs byte buffers; returns N."""
-    validate_parameters(d, k)
-    n = d**k
+    n = check_byte_rows(d, k)
     if n * n > MAX_CELLS:
         raise InvalidParameterError(
             f"DG({d},{k}) needs {n}^2-byte flat buffers, beyond the "
@@ -108,183 +88,46 @@ def _check_buffer_size(d: int, k: int) -> int:
             f"per-destination-prefix shards on demand under a byte "
             f"budget (CLI: `serve --shards --shard-budget-mb ...`)."
         )
-    if k >= _UNSEEN - 1:
-        raise InvalidWordError(f"k = {k} overflows the byte distance rows")
-    if 2 * d >= ACTION_AT_DESTINATION:
-        raise InvalidParameterError(
-            f"d = {d} overflows the one-byte action encoding"
-        )
     return n
 
 
-# ----------------------------------------------------------------------
-# Row kernels (run in workers and in the serial fallback)
-# ----------------------------------------------------------------------
+def _worker_main(d: int, k: int, directed: bool, dist_map, act_map,
+                 queue) -> None:
+    """Worker loop: fill ``[start, stop)`` chunks until the None sentinel.
 
-
-#: Temporary in-row marker for vertices excluded from a blocked BFS;
-#: distances never reach it (k <= 253 is enforced) and it differs from
-#: the 0xFF "unseen" template, so blocked vertices are simply never
-#: discovered.  Rows are cleaned back to 0xFF before returning.
-_BLOCKED_MARK = 0xFE
-
-
-def _table_fill(d: int, k: int, dest: int, directed: bool,
-                dist_row: bytearray, act_row: bytearray,
-                blocked=None) -> None:
-    """Reverse BFS from ``dest``: distances *to* dest + next-hop actions.
-
-    ``dist_row[src]`` becomes the length of a shortest path src -> dest;
-    ``act_row[src]`` the one-byte action of its first hop (``a`` in
-    ``0..d-1``: left shift inserting ``a``; ``d + a``: right shift
-    inserting ``a``; ``0xFE``: already at the destination).  Both rows
-    must be pre-set to ``0xFF`` (unreachable).
-
-    The BFS runs over *in*-neighbors: when ``u`` is discovered from
-    ``v``, the edge ``u -> v`` moves one step closer to ``dest``, and
-    the action byte records how ``u`` reaches ``v`` (``v``'s tail digit
-    for a left shift, ``v``'s head digit for a right shift).
-
-    ``blocked`` (an iterable of packed vertices, not containing
-    ``dest``) removes those vertices from the graph: they are neither
-    discovered nor expanded, and their row entries stay ``0xFF``.  This
-    is the kernel the fault-repair layer (:mod:`repro.network.resilience`)
-    uses to recompute rows on the surviving topology; the marking trick
-    keeps the unblocked hot loop untouched.
-    """
-    high = d ** (k - 1)
-    if blocked:
-        for u in blocked:
-            dist_row[u] = _BLOCKED_MARK
-    dist_row[dest] = 0
-    act_row[dest] = ACTION_AT_DESTINATION
-    frontier = [dest]
-    level = 0
-    while frontier:
-        level += 1
-        nxt: List[int] = []
-        push = nxt.append
-        for v in frontier:
-            body = v // d
-            left_act = v % d  # enter v by a left shift inserting its tail
-            for b in range(d):
-                u = b * high + body
-                if dist_row[u] == 0xFF:
-                    dist_row[u] = level
-                    act_row[u] = left_act
-                    push(u)
-            if not directed:
-                right_act = d + v // high  # right shift inserting v's head
-                base = (v % high) * d
-                for u in range(base, base + d):
-                    if dist_row[u] == 0xFF:
-                        dist_row[u] = level
-                        act_row[u] = right_act
-                        push(u)
-        frontier = nxt
-    if blocked:
-        for u in blocked:
-            dist_row[u] = ACTION_UNREACHABLE
-
-
-def _fill_chunk(kind: str, d: int, k: int, directed: bool,
-                start: int, stop: int, buffers: Sequence,
-                kernel: str = "python") -> None:
-    """Fill rows ``[start, stop)`` of the flat buffer(s) for ``kind``.
-
-    ``kernel="array"`` hands the whole chunk to the numpy lockstep BFS
-    of :mod:`repro.core.arraybfs` (byte-identical, ~6x on one core);
-    ``kernel="python"`` computes rows in local bytearrays (the fastest
-    mutable byte container in CPython) and blits each into the shared
-    buffer in one slice assignment.
+    Runs in a forked child; the two mappings are the parent's anonymous
+    shared mmaps inherited across the fork, so writes land directly in
+    the parent's buffers.
     """
     n = d**k
-    if kernel == "array":
-        if kind == "matrix":
-            (dist_buf,) = buffers
-            arraybfs.fill_matrix_rows(
-                d, k, start, stop, directed,
-                memoryview(dist_buf)[start * n:stop * n])
-        elif kind == "table":
-            dist_buf, act_buf = buffers
-            arraybfs.fill_table_rows(
-                d, k, start, stop, directed,
-                memoryview(dist_buf)[start * n:stop * n],
-                memoryview(act_buf)[start * n:stop * n])
-        else:  # pragma: no cover - internal misuse
-            raise InvalidParameterError(f"unknown fill kind {kind!r}")
-        return
-    template = bytes([_UNSEEN]) * n
-    if kind == "matrix":
-        (dist_buf,) = buffers
-        space = PackedSpace(d, k)
-        row = bytearray(template)
-        for source in range(start, stop):
-            row[:] = template
-            _bfs_fill(space, source, directed, row)
-            dist_buf[source * n:(source + 1) * n] = row
-    elif kind == "table":
-        dist_buf, act_buf = buffers
-        dist_row = bytearray(template)
-        act_row = bytearray(template)
-        for dest in range(start, stop):
-            dist_row[:] = template
-            act_row[:] = template
-            _table_fill(d, k, dest, directed, dist_row, act_row)
-            dist_buf[dest * n:(dest + 1) * n] = dist_row
-            act_buf[dest * n:(dest + 1) * n] = act_row
-    else:  # pragma: no cover - internal misuse
-        raise InvalidParameterError(f"unknown fill kind {kind!r}")
-
-
-def _worker_main(kind: str, d: int, k: int, directed: bool,
-                 buffers: Sequence, queue, kernel: str = "python") -> None:
-    """Worker loop: drain ``[start, stop)`` chunks until the None sentinel.
-
-    Runs in a forked child; ``buffers`` are the parent's shared-memory
-    views inherited across the fork, so writes land directly in the
-    parent's segments.
-    """
     while True:
         task = queue.get()
         if task is None:
             return
         start, stop = task
-        _fill_chunk(kind, d, k, directed, start, stop, buffers, kernel)
+        fill_table_rows(d, k, range(start, stop), directed,
+                        memoryview(dist_map)[start * n:stop * n],
+                        memoryview(act_map)[start * n:stop * n])
 
 
-# ----------------------------------------------------------------------
-# The sharded driver
-# ----------------------------------------------------------------------
-
-
-def sharded_rows(
-    kind: str,
+def compile_table_buffers(
     d: int,
     k: int,
     directed: bool = False,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> Tuple[bytearray, ...]:
-    """Compute all rows of ``kind`` for DG(d, k), sharded across workers.
+) -> Tuple[bytearray, bytearray]:
+    """(distances, next-hop actions), destination-major, for DG(d, k).
 
-    Returns the flat ``N*N``-byte buffer(s) as bytearrays — one for
-    ``kind="matrix"`` (distances, source-major), two for
-    ``kind="table"`` (distances then next-hop actions, both
-    destination-major).
+    The raw material of :class:`repro.core.tables.CompiledRouteTable`:
+    ``dist[pack(y) * N + pack(x)]`` is D(X, Y) and
+    ``act[pack(y) * N + pack(x)]`` the first-hop action of a shortest
+    path from X to Y.
 
-    ``workers=None`` picks ``min(4, cpus)``; ``workers=1``, a platform
-    without ``fork``, or a failed shared-memory allocation all take the
-    serial in-process path, which produces byte-identical output.
-    ``kernel`` picks the per-chunk BFS engine (``"array"`` /
-    ``"python"`` / ``"auto"``, see :func:`repro.core.arraybfs.
-    resolve_kernel`); all kernels produce identical bytes.
+    ``workers=None`` picks ``min(4, cpus)``; ``workers=1`` or a platform
+    without ``fork`` fills in-process, with byte-identical output.
     """
-    if kind not in _KINDS:
-        raise InvalidParameterError(f"unknown fill kind {kind!r}")
     n = _check_buffer_size(d, k)
-    resolved_kernel = resolve_kernel(kernel)
     if workers is None:
         workers = default_workers()
     if workers < 1:
@@ -292,33 +135,22 @@ def sharded_rows(
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_ROWS
     chunks = chunk_ranges(n, chunk_size)
-    n_buffers = 1 if kind == "matrix" else 2
     workers = min(workers, len(chunks))
 
     if workers <= 1 or not fork_available():
-        return _serial_rows(kind, d, k, directed, n, n_buffers,
-                            resolved_kernel)
+        dist, act = bytearray(n * n), bytearray(n * n)
+        fill_table_rows(d, k, range(n), directed, dist, act)
+        return dist, act
 
-    try:
-        from multiprocessing import shared_memory
-        segments = []
-        for _ in range(n_buffers):
-            segments.append(shared_memory.SharedMemory(create=True, size=n * n))
-    except (ImportError, OSError, ValueError):  # pragma: no cover - no /dev/shm
-        for segment in locals().get("segments", []):
-            segment.close()
-            segment.unlink()
-        return _serial_rows(kind, d, k, directed, n, n_buffers,
-                            resolved_kernel)
-
+    dist_map = mmap.mmap(-1, n * n)
+    act_map = mmap.mmap(-1, n * n)
     try:
         context = multiprocessing.get_context("fork")
         queue = context.Queue()
-        views = [segment.buf for segment in segments]
         processes = [
             context.Process(
                 target=_worker_main,
-                args=(kind, d, k, directed, views, queue, resolved_kernel),
+                args=(d, k, directed, dist_map, act_map, queue),
                 daemon=True,
             )
             for _ in range(workers)
@@ -337,79 +169,7 @@ def sharded_rows(
                 f"{len(failed)} BFS shard worker(s) exited with "
                 f"{failed}; shared buffers are incomplete"
             )
-        result = tuple(bytearray(view) for view in views)
+        return bytearray(dist_map), bytearray(act_map)
     finally:
-        for view in locals().get("views", []):
-            view.release()
-        for segment in segments:
-            segment.close()
-            segment.unlink()
-    return result
-
-
-def _serial_rows(kind: str, d: int, k: int, directed: bool,
-                 n: int, n_buffers: int,
-                 kernel: str = "python") -> Tuple[bytearray, ...]:
-    """The graceful fallback: one process, same kernels, same bytes."""
-    buffers = tuple(bytearray(n * n) for _ in range(n_buffers))
-    _fill_chunk(kind, d, k, directed, 0, n, buffers, kernel)
-    return buffers
-
-
-# ----------------------------------------------------------------------
-# Public conveniences
-# ----------------------------------------------------------------------
-
-
-def distance_matrix_flat(
-    d: int,
-    k: int,
-    directed: bool = False,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> bytearray:
-    """The N x N distance matrix as one flat source-major bytearray.
-
-    ``buf[pack(x) * N + pack(y)]`` is D(X, Y) — the sharded analogue of
-    :func:`repro.core.batch.distance_matrix` (byte-identical to it row
-    by row, as the tests assert).
-    """
-    (dist,) = sharded_rows("matrix", d, k, directed, workers, chunk_size,
-                           kernel)
-    return dist
-
-
-def parallel_distance_matrix(
-    d: int,
-    k: int,
-    directed: bool = False,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> List[bytearray]:
-    """Row-list view of :func:`distance_matrix_flat` (drop-in for
-    :func:`repro.core.batch.distance_matrix`)."""
-    n = d**k
-    flat = distance_matrix_flat(d, k, directed, workers, chunk_size, kernel)
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
-
-
-def compile_table_buffers(
-    d: int,
-    k: int,
-    directed: bool = False,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> Tuple[bytearray, bytearray]:
-    """(distances, next-hop actions), destination-major, for DG(d, k).
-
-    The raw material of :class:`repro.core.tables.CompiledRouteTable`:
-    ``dist[pack(y) * N + pack(x)]`` is D(X, Y) and
-    ``act[pack(y) * N + pack(x)]`` the first-hop action of a shortest
-    path from X to Y.
-    """
-    dist, act = sharded_rows("table", d, k, directed, workers, chunk_size,
-                             kernel)
-    return dist, act
+        dist_map.close()
+        act_map.close()

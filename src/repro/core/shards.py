@@ -39,9 +39,12 @@ import zlib
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.arraybfs import table_rows
+from repro.core.arraybfs import (
+    ACTION_AT_DESTINATION,
+    ACTION_UNREACHABLE,
+    table_rows,
+)
 from repro.core.packed import PackedSpace
-from repro.core.parallel import ACTION_AT_DESTINATION, ACTION_UNREACHABLE
 from repro.core.word import validate_parameters
 from repro.exceptions import InvalidParameterError, RoutingError
 
@@ -110,10 +113,9 @@ class RouteShard:
 
     @classmethod
     def compile(cls, d: int, k: int, start: int, stop: int,
-                directed: bool = False,
-                kernel: Optional[str] = None) -> "RouteShard":
+                directed: bool = False) -> "RouteShard":
         """Reverse-BFS just these destinations: O(rows·N), not O(N²)."""
-        dist, act = table_rows(d, k, start, stop, directed, kernel)
+        dist, act = table_rows(d, k, range(start, stop), directed)
         return cls(d, k, directed, start, stop, bytes(dist), bytes(act))
 
     # -- O(1) lookups ---------------------------------------------------
@@ -347,7 +349,6 @@ class ShardedRouteTable:
         byte_budget: int = DEFAULT_BYTE_BUDGET,
         rows_per_shard: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        kernel: Optional[str] = None,
         compile_threshold: int = 1,
         synchronous: bool = False,
     ) -> None:
@@ -381,7 +382,6 @@ class ShardedRouteTable:
             )
         self.byte_budget = byte_budget
         self.cache_dir = cache_dir
-        self.kernel = kernel
         self.compile_threshold = compile_threshold
         self.synchronous = synchronous
         if cache_dir is not None:
@@ -523,7 +523,7 @@ class ShardedRouteTable:
             except InvalidParameterError:
                 os.remove(path)  # corrupt/foreign cache entry: rebuild
         shard = RouteShard.compile(self.d, self.k, start, stop,
-                                   self.directed, self.kernel)
+                                   self.directed)
         if path is not None:
             shard.save(path)
         return shard, "compiled"

@@ -36,12 +36,9 @@ import struct
 import zlib
 from typing import List, Optional, Tuple, Union
 
+from repro.core.arraybfs import ACTION_AT_DESTINATION, ACTION_UNREACHABLE
 from repro.core.packed import PackedSpace
-from repro.core.parallel import (
-    ACTION_AT_DESTINATION,
-    ACTION_UNREACHABLE,
-    compile_table_buffers,
-)
+from repro.core.parallel import compile_table_buffers
 from repro.core.routing import Path, step_from_action
 from repro.core.word import WordTuple, validate_parameters
 from repro.exceptions import InvalidParameterError, RoutingError
@@ -121,20 +118,15 @@ class CompiledRouteTable:
         directed: bool = False,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> "CompiledRouteTable":
         """Compile the table by sharded reverse BFS (one row per destination).
 
         ``workers`` fans the row chunks across that many forked
         processes writing into shared memory; ``workers=1`` (or a
-        platform without ``fork``) compiles serially with the same
-        kernels.  ``kernel`` selects the BFS engine per chunk
-        (``"array"`` / ``"python"`` / ``"auto"``); every kernel emits
-        identical bytes.
+        platform without ``fork``) compiles in-process with the same
+        kernel and the same bytes.
         """
-        dist, act = compile_table_buffers(
-            d, k, directed, workers, chunk_size, kernel
-        )
+        dist, act = compile_table_buffers(d, k, directed, workers, chunk_size)
         return cls(d, k, directed, bytes(act), bytes(dist))
 
     def thaw(self) -> "CompiledRouteTable":

@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError, InvalidWordError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (packed imports word)
-    from repro.core.packed import PackedSpace
 
 WordTuple = Tuple[int, ...]
 
@@ -96,29 +92,6 @@ def all_neighbors(word: WordTuple, d: int) -> Iterator[WordTuple]:
     yield from right_neighbors(word, d)
 
 
-def word_to_int(word: WordTuple, d: int) -> int:
-    """Encode a word as its base-``d`` integer value (head digit most significant)."""
-    value = 0
-    for digit in word:
-        value = value * d + digit
-    return value
-
-
-def int_to_word(value: int, d: int, k: int) -> WordTuple:
-    """Decode the base-``d`` integer ``value`` into a length-``k`` word.
-
-    Raises :class:`InvalidWordError` when ``value`` is outside ``0 .. d**k - 1``.
-    """
-    validate_parameters(d, k)
-    if not 0 <= value < d**k:
-        raise InvalidWordError(f"integer {value} is outside 0..{d**k - 1} for DG({d},{k})")
-    digits = []
-    for _ in range(k):
-        value, rem = divmod(value, d)
-        digits.append(rem)
-    return tuple(reversed(digits))
-
-
 def parse_word(text: str, d: int) -> WordTuple:
     """Parse a word from a compact string such as ``"0110"`` (base-d digits).
 
@@ -172,32 +145,6 @@ def random_word(d: int, k: int, rng: random.Random | None = None) -> WordTuple:
     return tuple(generator.randrange(d) for _ in range(k))
 
 
-@lru_cache(maxsize=None)
-def packed_space(d: int, k: int) -> "PackedSpace":
-    """The cached :class:`repro.core.packed.PackedSpace` for DG(d, k).
-
-    Zero-copy adapter between the tuple world and the packed-int world:
-    ``packed_space(d, k).pack(word)`` produces the same encoding as
-    :func:`word_to_int`, so graph and network code can opt in to packed
-    arithmetic without any data conversion beyond the int itself (which
-    CPython interns for small graphs).  The cache makes repeated adapter
-    lookups free in hot loops.
-    """
-    from repro.core.packed import PackedSpace  # local import: avoid cycle
-
-    return PackedSpace(d, k)
-
-
-def to_packed(word: WordTuple, d: int) -> int:
-    """Pack a validated tuple word into its base-d integer (see packed.py)."""
-    return packed_space(d, len(word)).pack_checked(word)
-
-
-def from_packed(value: int, d: int, k: int) -> WordTuple:
-    """Unpack a base-d integer back into a tuple word."""
-    return packed_space(d, k).unpack(value)
-
-
 def overlap_length(x: WordTuple, y: WordTuple) -> int:
     """Length of the longest suffix of ``x`` that equals a prefix of ``y``.
 
@@ -241,11 +188,6 @@ class Word:
         """Build a :class:`Word` from a compact digit string."""
         return cls(parse_word(text, d), d)
 
-    @classmethod
-    def from_int(cls, value: int, d: int, k: int) -> "Word":
-        """Build a :class:`Word` from its base-d integer encoding."""
-        return cls(int_to_word(value, d, k), d)
-
     @property
     def k(self) -> int:
         """The word length (the de Bruijn graph's diameter)."""
@@ -265,19 +207,6 @@ class Word:
         """All 2d (not necessarily distinct) neighbors, type-L first."""
         for tup in all_neighbors(self.digits, self.d):
             yield Word(tup, self.d)
-
-    def to_int(self) -> int:
-        """Base-d integer encoding of this word."""
-        return word_to_int(self.digits, self.d)
-
-    def to_packed(self) -> int:
-        """Packed encoding (identical to :meth:`to_int`; see packed.py)."""
-        return packed_space(self.d, len(self.digits)).pack(self.digits)
-
-    @classmethod
-    def from_packed(cls, value: int, d: int, k: int) -> "Word":
-        """Build a :class:`Word` from a packed base-d integer."""
-        return cls(from_packed(value, d, k), d)
 
     def reversed(self) -> "Word":
         """The digit-reversed word (the paper's ``X̄``)."""

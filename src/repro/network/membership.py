@@ -14,7 +14,10 @@ detector (Das–Gupta–Motivala, DSN 2002):
   or congested link cannot convict a healthy site by itself.
 * **Suspicion state machine** — a target that stays silent becomes
   SUSPECT (not dead!) and is only confirmed DEAD after
-  ``suspicion_timeout`` more time units pass without refutation.
+  ``suspicion_timeout`` more time units pass without refutation.  A
+  member runs that refutation window on its own evidence: a suspicion
+  it only heard by gossip starts the window once its own probe of the
+  suspect fails too, so no verdict hinges on a DEAD record arriving.
 * **Incarnation refutation** — a site that learns it is suspected bumps
   its own incarnation number and disseminates a fresher ALIVE record,
   which overrides the suspicion everywhere (the SWIM ordering rules:
@@ -586,12 +589,21 @@ class SwimMember:
     # -- suspicion ------------------------------------------------------
 
     def _start_suspicion(self, subject: Site) -> None:
+        """Our own probe of ``subject`` failed: open a refutation window.
+
+        Also when the subject is already SUSPECT by hearsay — otherwise
+        this member could only learn the verdict from a DEAD record,
+        whose epidemic budget may be spent before it arrives.  Extra
+        windows for one suspicion are harmless: :meth:`_confirm` acts
+        once and only while the suspicion stands.
+        """
         view = self.view
-        if view.state(subject) != ALIVE:
-            return  # already suspected or confirmed
+        state = view.state(subject)
+        if state == DEAD:
+            return
         incarnation = view.incarnation_of(subject)
-        if not view.apply(SUSPECT, subject, incarnation):
-            return  # pragma: no cover - guarded by the ALIVE check above
+        if state == ALIVE:
+            view.apply(SUSPECT, subject, incarnation)
         self.clock.call_later(
             self.config.suspicion_timeout,
             lambda: self._confirm(subject, incarnation))

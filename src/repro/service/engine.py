@@ -271,7 +271,6 @@ class EngineSpec:
     shard_rows: Optional[int] = None
     shard_dir: Optional[str] = None
     shard_threshold: int = 1
-    kernel: str = "auto"  #: BFS engine for compiles ("auto"/"array"/"python")
     cache_size: int = 4096
     use_wildcards: bool = False
 
@@ -289,9 +288,7 @@ class EngineSpec:
                     f"spec wants DG({self.d},{self.k})"
                 )
         elif self.compile_table:
-            table = CompiledRouteTable.compile(
-                self.d, self.k, kernel=self.kernel
-            )
+            table = CompiledRouteTable.compile(self.d, self.k)
         elif self.shards:
             shard_table = ShardedRouteTable(
                 self.d,
@@ -299,7 +296,6 @@ class EngineSpec:
                 byte_budget=self.shard_byte_budget,
                 rows_per_shard=self.shard_rows,
                 cache_dir=self.shard_dir,
-                kernel=self.kernel,
                 compile_threshold=self.shard_threshold,
             )
         return RouteQueryEngine(

@@ -18,7 +18,6 @@ from repro.analysis.exact import (
     directed_bfs_distance_matrix,
     directed_distance_matrix,
     distance_histogram,
-    shift_index_vectors,
     undirected_average_distance,
     undirected_distance_matrix,
 )
@@ -29,7 +28,8 @@ from repro.core.average_distance import (
     undirected_average_distance_exact,
 )
 from repro.core.distance import directed_distance, undirected_distance
-from repro.core.word import iter_words, word_to_int
+from repro.core.packed import PackedSpace
+from repro.core.word import iter_words
 from repro.exceptions import InvalidParameterError
 
 
@@ -41,17 +41,19 @@ from repro.exceptions import InvalidParameterError
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_directed_matrix_matches_pure_function(d, k):
     matrix = directed_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     for x in iter_words(d, k):
         for y in iter_words(d, k):
-            assert matrix[word_to_int(x, d), word_to_int(y, d)] == directed_distance(x, y)
+            assert matrix[space.pack(x), space.pack(y)] == directed_distance(x, y)
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_undirected_matrix_matches_pure_function(d, k):
     matrix = undirected_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     for x in iter_words(d, k):
         for y in iter_words(d, k):
-            assert matrix[word_to_int(x, d), word_to_int(y, d)] == undirected_distance(x, y)
+            assert matrix[space.pack(x), space.pack(y)] == undirected_distance(x, y)
 
 
 @pytest.mark.parametrize("d,k", [(2, 4), (3, 3), (2, 6)])
@@ -63,14 +65,6 @@ def test_matrices_have_no_unreached_entries():
     for matrix in (undirected_distance_matrix(2, 5), directed_bfs_distance_matrix(2, 5)):
         assert (matrix >= 0).all()
         assert (matrix <= 5).all()
-
-
-def test_shift_index_vectors_shape_and_range():
-    vectors = shift_index_vectors(2, 3)
-    assert len(vectors) == 4
-    for vec in vectors:
-        assert vec.shape == (8,)
-        assert vec.min() >= 0 and vec.max() < 8
 
 
 def test_average_helpers_match_core_enumeration():

@@ -1,140 +1,106 @@
-"""Byte-identity and selection tests for the array-native BFS kernels.
+"""Byte-identity tests for the array-native BFS kernel.
 
-The array kernels' contract is exact: every output byte — distances
-*and* tie-broken next-hop actions — equals what the serial python
-kernels produce, across orientations, degrees, and partial row ranges.
-The tests here enumerate that contract; the perf claim lives in
-benchmarks/bench_big_k.py (E22).
+The kernel's contract is exact: every output byte — distances *and*
+tie-broken next-hop actions — equals what the python reference BFS
+(:func:`repro.core.arraybfs.reference_table_rows`) produces, across
+orientations, degrees, partial and scattered row sets, and blocked
+(failed) vertex sets.  The tests here enumerate that contract; the perf
+claim lives in benchmarks/bench_big_k.py (E22).
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.core import arraybfs
 from repro.core.arraybfs import (
-    numpy_available,
-    resolve_kernel,
+    ACTION_UNREACHABLE,
+    fill_matrix_rows,
+    reference_table_rows,
     table_rows,
 )
-from repro.core.batch import distance_matrix
-from repro.core.parallel import (
-    compile_table_buffers,
-    distance_matrix_flat,
-    sharded_rows,
-)
+from repro.core.parallel import compile_table_buffers
 from repro.exceptions import InvalidParameterError
 
 GRAPHS = [(2, 6), (2, 9), (3, 4), (4, 3)]
 
 
-# ----------------------------------------------------------------------
-# Kernel selection
-# ----------------------------------------------------------------------
-
-
-def test_resolve_kernel_auto_and_aliases():
-    expected = "array" if numpy_available() else "python"
-    assert resolve_kernel(None) == expected
-    assert resolve_kernel("auto") == expected
-    assert resolve_kernel("python") == "python"
-
-
-def test_resolve_kernel_rejects_unknown():
-    with pytest.raises(InvalidParameterError):
-        resolve_kernel("simd")
-
-
-def test_resolve_kernel_array_requires_numpy(monkeypatch):
-    monkeypatch.setattr(arraybfs, "_np", None)
-    assert resolve_kernel("auto") == "python"
-    with pytest.raises(InvalidParameterError):
-        resolve_kernel("array")
-
-
-def test_table_rows_python_fallback_matches_serial():
-    # The python path of table_rows must agree with the full compiler
-    # even without numpy in the picture.
-    dist, act = compile_table_buffers(2, 6, workers=1, kernel="python")
-    n = 2**6
-    part_dist, part_act = table_rows(2, 6, 10, 20, kernel="python")
-    assert bytes(part_dist) == bytes(dist[10 * n:20 * n])
-    assert bytes(part_act) == bytes(act[10 * n:20 * n])
-
-
-# ----------------------------------------------------------------------
-# Byte identity (numpy required beyond this point)
-# ----------------------------------------------------------------------
-
-
-pytestmark_np = pytest.mark.skipif(not numpy_available(),
-                                   reason="array kernel needs numpy")
-
-
-@pytestmark_np
 @pytest.mark.parametrize("d,k", GRAPHS)
 @pytest.mark.parametrize("directed", [False, True])
 def test_table_buffers_byte_identical(d, k, directed):
-    python = compile_table_buffers(d, k, directed, workers=1,
-                                   kernel="python")
-    array = compile_table_buffers(d, k, directed, workers=1, kernel="array")
-    assert bytes(array[0]) == bytes(python[0])  # distances
-    assert bytes(array[1]) == bytes(python[1])  # tie-broken actions
+    reference = reference_table_rows(d, k, range(d**k), directed)
+    array = compile_table_buffers(d, k, directed, workers=1)
+    assert bytes(array[0]) == bytes(reference[0])  # distances
+    assert bytes(array[1]) == bytes(reference[1])  # tie-broken actions
 
 
-@pytestmark_np
 @pytest.mark.parametrize("d,k", GRAPHS)
 @pytest.mark.parametrize("directed", [False, True])
 def test_matrix_byte_identical(d, k, directed):
-    python = distance_matrix_flat(d, k, directed, workers=1, kernel="python")
-    array = distance_matrix_flat(d, k, directed, workers=1, kernel="array")
-    assert bytes(array) == bytes(python)
+    # Source-major forward rows are the transpose of the reference's
+    # destination-major reverse rows.
+    n = d**k
+    ref_dist, _ = reference_table_rows(d, k, range(n), directed)
+    matrix = bytearray(n * n)
+    fill_matrix_rows(d, k, range(n), directed, matrix)
+    expected = np.frombuffer(bytes(ref_dist), dtype=np.uint8).reshape(n, n).T
+    assert bytes(matrix) == expected.tobytes()
 
 
-@pytestmark_np
-def test_batch_distance_matrix_kernel_param():
-    assert distance_matrix(2, 7, kernel="array") == \
-        distance_matrix(2, 7, kernel="python")
-
-
-@pytestmark_np
 @pytest.mark.parametrize("start,stop", [(0, 1), (7, 8), (5, 21), (0, 64)])
 def test_partial_table_rows_match_full_compile(start, stop):
     d, k = 2, 6
     n = d**k
-    dist, act = compile_table_buffers(d, k, workers=1, kernel="python")
-    part_dist, part_act = table_rows(d, k, start, stop, kernel="array")
+    dist, act = reference_table_rows(d, k, range(n))
+    part_dist, part_act = table_rows(d, k, range(start, stop))
     assert bytes(part_dist) == bytes(dist[start * n:stop * n])
     assert bytes(part_act) == bytes(act[start * n:stop * n])
 
 
-@pytestmark_np
+def test_scattered_rows_match_reference():
+    # The repair layer refills an arbitrary, unordered set of rows.
+    d, k = 2, 6
+    dests = [40, 3, 63, 0, 17]
+    assert table_rows(d, k, dests) == reference_table_rows(d, k, dests)
+
+
 def test_tiny_blocks_do_not_change_bytes():
     # Block boundaries must be invisible: a 1-row block equals the
-    # all-at-once result equals the serial kernel.
+    # all-at-once result equals the reference.
     d, k = 2, 6
-    reference = table_rows(d, k, 0, d**k, kernel="python")
+    reference = reference_table_rows(d, k, range(d**k))
     for block in (1, 3, 64):
-        got = table_rows(d, k, 0, d**k, kernel="array", block=block)
+        got = table_rows(d, k, range(d**k), block=block)
         assert got == reference
 
 
-@pytestmark_np
 def test_empty_and_bad_ranges():
-    dist, act = table_rows(2, 6, 5, 5, kernel="array")
+    dist, act = table_rows(2, 6, range(5, 5))
     assert dist == bytearray() and act == bytearray()
     with pytest.raises(InvalidParameterError):
-        table_rows(2, 6, 10, 5, kernel="array")
+        table_rows(2, 6, range(60, 65))
     with pytest.raises(InvalidParameterError):
-        table_rows(2, 6, 0, 65, kernel="array")
+        table_rows(2, 6, [-1])
+    with pytest.raises(InvalidParameterError):
+        table_rows(2, 6, range(4), blocked=[64])
 
 
-@pytestmark_np
-def test_sharded_rows_accepts_kernel_across_workers():
-    # Kernel choice must not perturb the multi-process assembly path.
-    python = sharded_rows("table", 2, 6, workers=2, chunk_size=8,
-                          kernel="python")
-    array = sharded_rows("table", 2, 6, workers=2, chunk_size=8,
-                         kernel="array")
-    assert bytes(array[0]) == bytes(python[0])
-    assert bytes(array[1]) == bytes(python[1])
+@pytest.mark.parametrize("d,k", [(2, 4), (2, 6), (3, 3)])
+@pytest.mark.parametrize("directed", [False, True])
+def test_blocked_rows_match_reference(d, k, directed):
+    """Random fault sets: the kernel equals the reference row for row."""
+    n = d**k
+    rng = random.Random(f"blocked:{d}:{k}:{directed}")
+    for _ in range(6):
+        blocked = rng.sample(range(n), rng.randint(1, max(1, n // 6)))
+        reference = reference_table_rows(d, k, range(n), directed, blocked)
+        for block in (None, 5):
+            got = table_rows(d, k, range(n), directed, blocked, block=block)
+            assert got == reference
+        # A blocked destination's row is entirely unreachable.
+        dist, act = got
+        for dest in blocked:
+            row = slice(dest * n, (dest + 1) * n)
+            assert set(dist[row]) == set(act[row]) == {ACTION_UNREACHABLE}

@@ -27,7 +27,7 @@ from repro.core.batch import (
 from repro.core.distance import directed_distance, undirected_distance
 from repro.core.packed import PackedSpace
 from repro.exceptions import InvalidWordError
-from tests.conftest import all_words
+from tests.conftest import all_words, bfs_oracle
 
 #: The two graphs the acceptance criteria name, plus extras.
 EXHAUSTIVE_GRAPHS = [(2, 4), (3, 3), (2, 1), (2, 3), (4, 2)]
@@ -92,14 +92,14 @@ def test_undirected_many_property(case):
 
 
 def test_distances_row_matches_distances_from():
-    from repro.core.distance import distances_from
-
+    """One kernel row equals the conftest shift-BFS distances from x."""
     d, k = 2, 5
     space = PackedSpace(d, k)
     for directed in (False, True):
         for x in all_words(d, k)[:8]:
             row = distances_row(space, space.pack(x), directed=directed)
-            reference = distances_from(x, d, directed=directed)
+            reference = bfs_oracle(x, d, directed)
+            assert len(reference) == space.order
             for y, dist in reference.items():
                 assert row[space.pack(y)] == dist
 

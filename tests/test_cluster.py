@@ -18,8 +18,8 @@ import pytest
 
 from repro.cluster.harness import ClusterHarness, ClusterSpec, run_kill_drill
 from repro.cluster.node import ClusterNodeSpec, ClusterQueryEngine, table_digest
+from repro.core.arraybfs import ACTION_UNREACHABLE
 from repro.core.packed import PackedSpace
-from repro.core.parallel import ACTION_UNREACHABLE
 from repro.core.routing import path_words
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.membership import SwimConfig

@@ -196,12 +196,15 @@ def test_empty_words_rejected():
 @pytest.mark.parametrize("d,k", [(2, 4), (3, 3)])
 @pytest.mark.parametrize("directed", [True, False])
 def test_distances_from_matches_pair_functions(d, k, directed):
-    from repro.core.distance import distances_from
+    """A BFS distance row from x agrees with the pair functions."""
+    from repro.core.batch import distances_row
+    from repro.core.packed import PackedSpace
 
     fn = directed_distance if directed else undirected_distance
+    space = PackedSpace(d, k)
     for x in [(0,) * k, tuple(range(k)) if k <= d else (0, 1) * (k // 2) + (0,) * (k % 2)]:
         x = tuple(v % d for v in x)
-        row = distances_from(x, d, directed=directed)
+        row = distances_row(space, space.pack(x), directed=directed)
         assert len(row) == d**k
-        for y, value in row.items():
-            assert value == fn(x, y)
+        for value, y in enumerate(all_words(d, k)):
+            assert row[value] == fn(x, y)

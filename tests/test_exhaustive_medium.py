@@ -18,7 +18,8 @@ from repro.core.routing import (
     shortest_path_unidirectional,
     verify_path,
 )
-from repro.core.word import iter_words, word_to_int
+from repro.core.packed import PackedSpace
+from repro.core.word import iter_words
 
 MEDIUM = [(2, 6), (2, 7), (3, 4), (5, 3)]
 
@@ -27,11 +28,12 @@ MEDIUM = [(2, 6), (2, 7), (3, 4), (5, 3)]
 def test_distance_functions_match_matrices_everywhere(d, k):
     directed = directed_distance_matrix(d, k)
     undirected = undirected_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     words = list(iter_words(d, k))
     for x in words:
-        xi = word_to_int(x, d)
+        xi = space.pack(x)
         for y in words:
-            yi = word_to_int(y, d)
+            yi = space.pack(y)
             assert directed_distance(x, y) == directed[xi, yi]
             assert undirected_distance(x, y, "suffix_tree") == undirected[xi, yi]
 
@@ -49,12 +51,13 @@ def test_both_undirected_methods_agree_everywhere(d, k):
 @pytest.mark.parametrize("d,k", [(2, 6), (3, 4)], ids=lambda v: str(v))
 def test_all_routes_verify_under_every_wildcard(d, k):
     undirected = undirected_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     words = list(iter_words(d, k))
     for x in words:
-        xi = word_to_int(x, d)
+        xi = space.pack(x)
         for y in words:
             path = shortest_path_undirected(x, y)
-            assert len(path) == undirected[xi, word_to_int(y, d)]
+            assert len(path) == undirected[xi, space.pack(y)]
             for fill in range(d):
                 assert verify_path(x, y, path, d, wildcard=fill), (x, y, fill)
 
@@ -62,12 +65,13 @@ def test_all_routes_verify_under_every_wildcard(d, k):
 @pytest.mark.parametrize("d,k", [(2, 7), (5, 3)], ids=lambda v: str(v))
 def test_directed_routes_exhaustive(d, k):
     directed = directed_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     words = list(iter_words(d, k))
     for x in words:
-        xi = word_to_int(x, d)
+        xi = space.pack(x)
         for y in words:
             path = shortest_path_unidirectional(x, y)
-            assert len(path) == directed[xi, word_to_int(y, d)]
+            assert len(path) == directed[xi, space.pack(y)]
             assert verify_path(x, y, path, d)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import directed_distance
-from repro.core.word import int_to_word
+from repro.core.packed import PackedSpace
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.graphs.generalized import GeneralizedDeBruijnGraph, matches_debruijn
 
@@ -134,7 +134,8 @@ def test_matches_debruijn_predicate():
 def test_gdb_at_power_sizes_equals_classical_distance(d, k):
     n = d**k
     graph = GeneralizedDeBruijnGraph(n, d)
+    space = PackedSpace(d, k)
     for u in range(n):
         for v in range(n):
-            classical = directed_distance(int_to_word(u, d, k), int_to_word(v, d, k))
+            classical = directed_distance(space.unpack(u), space.unpack(v))
             assert graph.distance(u, v) == classical

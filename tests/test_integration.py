@@ -9,7 +9,8 @@ import pytest
 from repro.analysis.exact import directed_distance_matrix, undirected_distance_matrix
 from repro.core.distance import directed_distance, undirected_distance
 from repro.core.routing import path_words
-from repro.core.word import iter_words, word_to_int
+from repro.core.packed import PackedSpace
+from repro.core.word import iter_words
 from repro.graphs.debruijn import undirected_graph
 from repro.graphs.embeddings import embed_ring
 from repro.graphs.sequences import hamiltonian_cycle
@@ -29,23 +30,25 @@ def test_simulated_hop_counts_equal_matrix_distances():
     """End to end: simulate every pair and compare with the numpy matrix."""
     d, k = 2, 3
     matrix = undirected_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     sim = Simulator(d, k)
     workload = list(all_pairs_once(d, k, spacing=20.0))
     stats = run_workload(sim, BidirectionalOptimalRouter(), workload)
     assert stats.delivered_count == len(workload)
     for message in stats.delivered:
-        expected = matrix[word_to_int(message.source, d), word_to_int(message.destination, d)]
+        expected = matrix[space.pack(message.source), space.pack(message.destination)]
         assert message.hop_count == expected
 
 
 def test_directed_simulation_matches_directed_matrix():
     d, k = 2, 3
     matrix = directed_distance_matrix(d, k)
+    space = PackedSpace(d, k)
     sim = Simulator(d, k, bidirectional=False)
     workload = list(all_pairs_once(d, k, spacing=20.0))
     stats = run_workload(sim, UnidirectionalOptimalRouter(), workload)
     for message in stats.delivered:
-        expected = matrix[word_to_int(message.source, d), word_to_int(message.destination, d)]
+        expected = matrix[space.pack(message.source), space.pack(message.destination)]
         assert message.hop_count == expected
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.tables import CompiledRouteTable
@@ -14,6 +16,8 @@ from repro.network.membership import (
     OracleMembership,
     SwimConfig,
     SwimDetector,
+    SwimMember,
+    SwimPacket,
 )
 from repro.network.resilience import LocalDetourPolicy
 from repro.network.router import TableDrivenRouter
@@ -174,6 +178,79 @@ def test_suspected_sites_tracks_the_refutation_window():
     assert view.suspected_sites() == frozenset([subject])
     view.apply(DEAD, subject, 0)
     assert view.suspected_sites() == frozenset()
+
+
+class _ManualClock:
+    """A Clock whose timers fire only when the test advances it."""
+
+    def __init__(self):
+        self.t = 0.0
+        self._timers = []
+
+    def now(self):
+        return self.t
+
+    def call_later(self, delay, fn):
+        self._timers.append((self.t + delay, fn))
+
+    def advance(self, dt):
+        end = self.t + dt
+        while True:
+            due = [timer for timer in self._timers if timer[0] <= end]
+            if not due:
+                break
+            timer = min(due, key=lambda t: t[0])
+            self._timers.remove(timer)
+            self.t = timer[0]
+            timer[1]()
+        self.t = end
+
+
+class _Sink:
+    """Transport that drops every packet; listener that logs convictions."""
+
+    def __init__(self):
+        self.convicted = []
+
+    def send(self, source, destination, packet):
+        pass
+
+    def on_dead_marked(self, observer, subject, incarnation):
+        self.convicted.append(subject)
+
+    def on_cleared(self, observer, subject, incarnation, firsthand):
+        pass
+
+
+def _hearsay_suspect():
+    """Member 0 hears SUSPECT(2) from member 1; nobody ever answers it."""
+    clock, sink = _ManualClock(), _Sink()
+    config = SwimConfig(seed="hearsay", probe_interval=1.0,
+                        probe_timeout=0.2, suspicion_timeout=5.0)
+    member = SwimMember(0, [1, 2], config, clock=clock, transport=sink,
+                        rng=random.Random(0), listener=sink,
+                        update_budget=3)
+    member.on_packet(SwimPacket("ping", 1, 1, updates=((SUSPECT, 2, 0),)))
+    assert member.view.state(2) == SUSPECT
+    return member, clock, sink
+
+
+def test_hearsay_alone_never_convicts():
+    member, clock, sink = _hearsay_suspect()
+    clock.advance(60.0)  # the member never probes: no evidence of its own
+    assert member.view.state(2) == SUSPECT
+    assert sink.convicted == []
+
+
+def test_failed_own_probe_confirms_a_hearsay_suspicion():
+    """The member probes the suspect first; its own failed probe opens
+    the refutation window, so it convicts without the DEAD record ever
+    reaching it (the drop-everything transport delivers nothing)."""
+    member, clock, sink = _hearsay_suspect()
+    member.start()
+    clock.advance(1.0 + 2 * 0.2 + 5.0 + 0.1)
+    assert member.view.state(2) == DEAD
+    assert sink.convicted == [2]
 
 
 # ----------------------------------------------------------------------

@@ -12,22 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packed import (
-    PackedSpace,
-    pack,
-    packed_left_shift,
-    packed_right_shift,
-    unpack,
-)
-from repro.core.word import (
-    Word,
-    from_packed,
-    left_shift,
-    packed_space,
-    right_shift,
-    to_packed,
-    word_to_int,
-)
+from repro.core.packed import PackedSpace
+from repro.core.word import left_shift, right_shift
 from repro.exceptions import InvalidWordError
 from tests.conftest import all_words
 
@@ -53,8 +39,6 @@ def test_pack_shift_unpack_agrees_with_tuple_shifts(case):
     assert space.unpack(value) == word
     assert space.unpack(space.left(value, digit)) == left_shift(word, digit)
     assert space.unpack(space.right(value, digit)) == right_shift(word, digit)
-    assert packed_left_shift(value, digit, d, k) == space.left(value, digit)
-    assert packed_right_shift(value, digit, d, k) == space.right(value, digit)
 
 
 @given(WORD_STRATEGY)
@@ -101,12 +85,13 @@ def test_prefix_range_is_the_common_prefix_group(case):
 
 
 def test_packing_matches_word_to_int():
-    """The packed encoding is word_to_int's encoding — full interop."""
-    for word in all_words(3, 3):
-        assert to_packed(word, 3) == word_to_int(word, 3)
-        assert from_packed(to_packed(word, 3), 3, 3) == word
-        assert Word(word, 3).to_packed() == Word(word, 3).to_int()
-        assert Word.from_packed(word_to_int(word, 3), 3, 3).digits == word
+    """Packing is the base-d positional value, head digit most
+    significant, so packed order is ``iter_words`` order."""
+    space = PackedSpace(3, 3)
+    for value, word in enumerate(all_words(3, 3)):
+        assert space.pack_checked(word) == value
+        assert value == word[0] * 9 + word[1] * 3 + word[2]
+        assert space.unpack(value) == word
 
 
 def test_neighbors_match_tuple_neighbors():
@@ -133,11 +118,4 @@ def test_validation_and_errors():
         space.prefix(0, 4)
     with pytest.raises(InvalidWordError):
         space.suffix(0, -1)
-    with pytest.raises(InvalidWordError):
-        unpack(9, 2, 3)
-    assert pack((1, 0, 1), 2) == 5
-
-
-def test_packed_space_is_cached():
-    assert packed_space(2, 5) is packed_space(2, 5)
-    assert packed_space(2, 5) is not packed_space(2, 6)
+    assert space.pack_checked((1, 0, 1)) == 5

@@ -1,27 +1,30 @@
-"""Tests for the multiprocess sharded BFS engine (repro.core.parallel).
+"""Tests for the multiprocess table compiler (repro.core.parallel).
 
-The load-bearing property: the parallel sharded fills are *byte
-identical* to the serial in-process fills and to the independent
-engines they shadow (``core.batch`` row by row, ``analysis.exact``
-matrix by matrix, the conftest BFS oracle pair by pair).
+The load-bearing property: the forked, chunked table compile is *byte
+identical* to the in-process fill, to the python reference BFS, and to
+the independent engines it shadows (``core.batch`` distance rows,
+``analysis.exact`` matrices, the conftest BFS oracle pair by pair).
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.batch import distance_matrix
+from repro.analysis import exact
+from repro.core.arraybfs import ACTION_AT_DESTINATION, reference_table_rows
+from repro.core.batch import distance_matrix, distances_row
+from repro.core.distance import undirected_distance
 from repro.core.packed import PackedSpace
 from repro.core.parallel import (
-    ACTION_AT_DESTINATION,
     available_cpus,
     chunk_ranges,
     compile_table_buffers,
     default_workers,
-    distance_matrix_flat,
-    parallel_distance_matrix,
-    sharded_rows,
 )
 from repro.exceptions import InvalidParameterError
 
@@ -51,17 +54,23 @@ def test_default_workers_bounded():
 
 
 # ----------------------------------------------------------------------
-# Parallel == serial, byte for byte
+# Parallel == serial == reference, byte for byte
 # ----------------------------------------------------------------------
+
+
+def _transpose(flat: bytes, n: int) -> bytes:
+    return np.frombuffer(bytes(flat), dtype=np.uint8).reshape(n, n).T.tobytes()
 
 
 @pytest.mark.parametrize("d,k", SMALL_GRAPHS, ids=lambda p: str(p))
 @pytest.mark.parametrize("directed", [False, True], ids=["bi", "uni"])
 def test_parallel_matrix_matches_serial(d, k, directed):
-    serial = distance_matrix_flat(d, k, directed=directed, workers=1)
-    parallel = distance_matrix_flat(d, k, directed=directed, workers=2,
+    """The forked table's distance rows are the serial matrix, transposed."""
+    n = d**k
+    serial = distance_matrix(d, k, directed=directed)
+    dist, _ = compile_table_buffers(d, k, directed=directed, workers=2,
                                     chunk_size=3)
-    assert bytes(serial) == bytes(parallel)
+    assert _transpose(dist, n) == b"".join(serial)
 
 
 @pytest.mark.parametrize("directed", [False, True], ids=["bi", "uni"])
@@ -70,15 +79,53 @@ def test_parallel_table_matches_serial(directed):
         serial = compile_table_buffers(d, k, directed=directed, workers=1)
         parallel = compile_table_buffers(d, k, directed=directed, workers=3,
                                          chunk_size=1)
-        assert bytes(serial[0]) == bytes(parallel[0])
-        assert bytes(serial[1]) == bytes(parallel[1])
+        reference = reference_table_rows(d, k, range(d**k), directed)
+        assert bytes(serial[0]) == bytes(parallel[0]) == bytes(reference[0])
+        assert bytes(serial[1]) == bytes(parallel[1]) == bytes(reference[1])
 
 
 def test_chunk_size_one_and_oversubscription():
     """More workers than chunks, and one-row chunks, both stay correct."""
-    reference = distance_matrix_flat(2, 3, workers=1)
-    assert bytes(distance_matrix_flat(2, 3, workers=16, chunk_size=1)) == \
-        bytes(reference)
+    reference = compile_table_buffers(2, 3, workers=1)
+    assert compile_table_buffers(2, 3, workers=16, chunk_size=1) == reference
+
+
+#: Run in a fresh interpreter, so no earlier test's children or
+#: resource tracker can mask (or fake) a leftover process.
+_CHILDREN_SCRIPT = """
+import os
+from repro.core.parallel import compile_table_buffers
+
+def children():
+    out = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except (OSError, ValueError):
+            continue
+        # The ppid is the second field after the parenthesised name.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
+            out.append(entry)
+    return out
+
+before = children()
+compile_table_buffers(2, 8, workers=2)
+print(len(before), len(children()))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_forked_compile_leaves_no_child_process():
+    """A workers=2 compile reaps its workers and starts no resource
+    tracker: no child of the compiling process survives it."""
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(sys.modules["repro"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", _CHILDREN_SCRIPT],
+                            env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.split() == ["0", "0"], result.stdout
 
 
 # ----------------------------------------------------------------------
@@ -89,31 +136,36 @@ def test_chunk_size_one_and_oversubscription():
 @pytest.mark.parametrize("d,k", SMALL_GRAPHS, ids=lambda p: str(p))
 @pytest.mark.parametrize("directed", [False, True], ids=["bi", "uni"])
 def test_matrix_matches_batch_engine(d, k, directed):
-    rows = parallel_distance_matrix(d, k, directed=directed, workers=2)
-    batch_rows = distance_matrix(d, k, directed=directed)
-    assert [bytes(r) for r in rows] == [bytes(r) for r in batch_rows]
+    """The all-sources matrix equals one-row fills and the shift BFS."""
+    space = PackedSpace(d, k)
+    rows = distance_matrix(d, k, directed=directed)
+    for x in all_words(d, k):
+        px = space.pack(x)
+        assert rows[px] == distances_row(space, px, directed=directed)
+        for y, dist in bfs_oracle(x, d, directed).items():
+            assert rows[px][space.pack(y)] == dist
 
 
 @pytest.mark.parametrize("directed", [False, True], ids=["bi", "uni"])
 def test_matrix_matches_exact_numpy(directed):
-    """The sharded kernel agrees with analysis.exact for both orientations."""
-    exact = pytest.importorskip("repro.analysis.exact")
+    """The kernel's matrix agrees with Property 1 (directed, closed form)
+    and Theorem 2 (undirected, pair function)."""
     for d, k in ((2, 4), (3, 3)):
-        n = d**k
         flat = np.frombuffer(
-            bytes(distance_matrix_flat(d, k, directed=directed, workers=2)),
-            dtype=np.uint8).reshape(n, n).view(np.int8)
+            b"".join(distance_matrix(d, k, directed=directed)),
+            dtype=np.uint8).reshape(d**k, d**k).view(np.int8)
         if directed:
-            reference = exact.directed_distance_matrix(d, k)
+            assert (flat == exact.directed_distance_matrix(d, k)).all()
         else:
-            reference = exact.undirected_distance_matrix(d, k)
-        assert (flat == reference).all()
+            words = all_words(d, k)
+            for i, x in enumerate(words):
+                for j, y in enumerate(words):
+                    assert flat[i, j] == undirected_distance(x, y)
 
 
 def test_exact_directed_bfs_delegates_correctly():
     """analysis.exact's BFS oracle (now the shared kernel) still matches
     its Property-1 closed-form twin."""
-    exact = pytest.importorskip("repro.analysis.exact")
     for d, k in ((2, 5), (3, 3), (4, 2)):
         bfs = exact.directed_bfs_distance_matrix(d, k)
         closed = exact.directed_distance_matrix(d, k)
@@ -140,8 +192,3 @@ def test_table_rows_against_bfs_oracle(d, k, directed):
             assert got == (0xFF if expected is None else expected)
             if x == y:
                 assert act[py * n + px] == ACTION_AT_DESTINATION
-
-
-def test_sharded_rows_rejects_unknown_kind():
-    with pytest.raises(InvalidParameterError):
-        sharded_rows("nonsense", 2, 3)

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.arraybfs import reference_table_rows
 from repro.core.distance import directed_distance, undirected_distance
 from repro.core.packed import PackedSpace
 from repro.core.routing import (
@@ -262,14 +263,12 @@ def test_load_accepts_legacy_v1_files(tmp_path):
 
 
 def test_compile_kernels_are_byte_identical():
-    pytest.importorskip("numpy")
+    """The compiled table equals the python reference BFS byte for byte."""
     for directed in (False, True):
-        python = CompiledRouteTable.compile(2, 6, directed=directed,
-                                            workers=1, kernel="python")
-        array = CompiledRouteTable.compile(2, 6, directed=directed,
-                                           workers=1, kernel="array")
-        assert bytes(array.actions) == bytes(python.actions)
-        assert bytes(array.distances) == bytes(python.distances)
+        dist, act = reference_table_rows(2, 6, range(2**6), directed)
+        table = CompiledRouteTable.compile(2, 6, directed=directed, workers=1)
+        assert bytes(table.actions) == bytes(act)
+        assert bytes(table.distances) == bytes(dist)
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.packed import PackedSpace
 from repro.core.word import (
     Word,
     all_neighbors,
     format_word,
-    int_to_word,
     iter_words,
     left_neighbors,
     left_shift,
@@ -23,7 +23,6 @@ from repro.core.word import (
     right_shift,
     validate_parameters,
     validate_word,
-    word_to_int,
 )
 from repro.exceptions import InvalidParameterError, InvalidWordError
 
@@ -109,20 +108,23 @@ def test_validate_word_rejects_bool_digit():
 
 @pytest.mark.parametrize("d,k", [(2, 4), (3, 3), (5, 2)])
 def test_int_roundtrip_covers_all_words(d, k):
+    space = PackedSpace(d, k)
     for value in range(d**k):
-        assert word_to_int(int_to_word(value, d, k), d) == value
+        assert space.pack_checked(space.unpack(value)) == value
 
 
 def test_word_to_int_head_most_significant():
-    assert word_to_int((1, 0, 0), 2) == 4
-    assert word_to_int((0, 0, 1), 2) == 1
+    space = PackedSpace(2, 3)
+    assert space.pack_checked((1, 0, 0)) == 4
+    assert space.pack_checked((0, 0, 1)) == 1
 
 
 def test_int_to_word_rejects_out_of_range():
+    space = PackedSpace(2, 3)
     with pytest.raises(InvalidWordError):
-        int_to_word(8, 2, 3)
+        space.unpack(8)
     with pytest.raises(InvalidWordError):
-        int_to_word(-1, 2, 3)
+        space.unpack(-1)
 
 
 def test_parse_format_roundtrip():
@@ -244,9 +246,10 @@ def test_word_reversed():
 
 
 def test_word_from_int_and_to_int():
-    w = Word.from_int(5, d=2, k=3)
+    space = PackedSpace(2, 3)
+    w = Word(space.unpack(5), d=2)
     assert w.digits == (1, 0, 1)
-    assert w.to_int() == 5
+    assert space.pack_checked(w.digits) == 5
 
 
 def test_word_rejects_invalid_digits():
