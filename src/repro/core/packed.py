@@ -64,8 +64,23 @@ class PackedSpace:
         return value
 
     def pack_checked(self, word: WordTuple) -> int:
-        """Validate ``word`` against (d, k), then pack it."""
-        validate_word(word, self.d, self.k)
+        """Validate ``word`` against (d, k), then pack it.
+
+        One pass checks and folds plain-int digits; any other input
+        (wrong length, a bool, float or int subclass, an out-of-range
+        digit) takes :func:`~repro.core.word.validate_word`, so the
+        accepted words and the raised errors are exactly its own.
+        """
+        d = self.d
+        if len(word) == self.k:
+            value = 0
+            for digit in word:
+                if digit.__class__ is not int or not 0 <= digit < d:
+                    break
+                value = value * d + digit
+            else:
+                return value
+        validate_word(word, d, self.k)
         return self.pack(word)
 
     def unpack(self, value: int) -> WordTuple:

@@ -39,7 +39,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.routing import Path
 from repro.core.word import WordTuple
@@ -56,6 +56,10 @@ _LENGTH = struct.Struct("!I")
 
 #: Frame type byte plus request-id word.
 _HEAD = struct.Struct("!BI")
+
+#: A whole distance-only ``REPLY`` frame: length, type, request id,
+#: distance, and a zero step count.
+_DISTANCE_REPLY = struct.Struct("!IBIBB")
 
 #: Hard ceiling on one frame's payload; anything larger is a protocol
 #: violation, not a big request (a DG(255, 255) query is still < 1 KiB).
@@ -81,6 +85,10 @@ class ErrorCode(enum.IntEnum):
     UNSUPPORTED = 3  #: wrong (d, k) for this server, or unknown frame
     INTERNAL = 4  #: the engine raised; message carries the repr
     SHUTTING_DOWN = 5  #: server is draining and no longer answers
+
+
+#: Every :class:`FrameType`, indexed by its type byte.
+_FRAME_TYPES = tuple(FrameType(value) for value in range(len(FrameType)))
 
 
 #: ``flags`` bit 0: route on the uni-directional network.
@@ -167,21 +175,28 @@ def decode_query(frame: Frame) -> RouteQuery:
         )
     source = decode_word(body[3 : 3 + k])
     destination = decode_word(body[3 + k : 3 + 2 * k])
-    for word in (source, destination):
-        if any(digit >= d for digit in word):
-            raise ProtocolError(f"word {word!r} has digits outside 0..{d - 1}")
+    if max(source) >= d:
+        raise ProtocolError(f"word {source!r} has digits outside 0..{d - 1}")
+    if max(destination) >= d:
+        raise ProtocolError(
+            f"word {destination!r} has digits outside 0..{d - 1}"
+        )
     return RouteQuery(
-        request_id=frame.request_id,
-        d=d,
-        source=source,
-        destination=destination,
-        directed=bool(flags & FLAG_DIRECTED),
-        want_path=bool(flags & FLAG_WANT_PATH),
+        frame.request_id,
+        d,
+        source,
+        destination,
+        bool(flags & FLAG_DIRECTED),
+        bool(flags & FLAG_WANT_PATH),
     )
 
 
 def encode_reply(request_id: int, distance: int, path: Optional[Path]) -> bytes:
     """A ``REPLY`` frame; ``path=None`` answers a distance-only query."""
+    if not path and 0 <= distance <= 0xFF and 0 <= request_id <= 0xFFFFFFFF:
+        return _DISTANCE_REPLY.pack(
+            _HEAD.size + 2, FrameType.REPLY, request_id, distance, 0
+        )
     if not 0 <= distance <= 0xFF:
         raise ProtocolError(f"distance {distance} does not fit one byte")
     steps = encode_path(path) if path else b""
@@ -279,30 +294,34 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Frame]:
         """Append ``data`` and return every frame it completed."""
-        self._buffer.extend(data)
-        return list(self._drain())
-
-    def _drain(self) -> Iterator[Frame]:
         buffer = self._buffer
+        buffer.extend(data)
+        end = len(buffer)
+        frames: List[Frame] = []
         offset = 0
         try:
-            while len(buffer) - offset >= _LENGTH.size:
+            while end - offset >= _LENGTH.size:
                 (length,) = _LENGTH.unpack_from(buffer, offset)
                 if length < _HEAD.size or length > MAX_FRAME_BYTES:
                     raise ProtocolError(f"frame length {length} out of range")
-                if len(buffer) - offset - _LENGTH.size < length:
-                    break
                 head_at = offset + _LENGTH.size
+                stop = head_at + length
+                if stop > end:
+                    break
                 type_byte, request_id = _HEAD.unpack_from(buffer, head_at)
-                try:
-                    frame_type = FrameType(type_byte)
-                except ValueError as exc:
-                    raise ProtocolError(f"unknown frame type {type_byte}") from exc
-                body = bytes(buffer[head_at + _HEAD.size : head_at + length])
-                offset += _LENGTH.size + length
-                yield Frame(frame_type, request_id, body)
+                if type_byte >= len(_FRAME_TYPES):
+                    raise ProtocolError(f"unknown frame type {type_byte}")
+                frames.append(
+                    Frame(
+                        _FRAME_TYPES[type_byte],
+                        request_id,
+                        bytes(buffer[head_at + _HEAD.size : stop]),
+                    )
+                )
+                offset = stop
         finally:
             del buffer[:offset]
+        return frames
 
     @property
     def pending_bytes(self) -> int:

@@ -2,7 +2,7 @@
 
 The server answers :mod:`repro.service.protocol` frames for exactly one
 DG(d, k) through a :class:`~repro.service.engine.RouteQueryEngine`.
-Three production behaviours are structural, not bolted on:
+Four production behaviours are structural, not bolted on:
 
 * **Bounded admission** — accepted queries enter a fixed-capacity queue.
   When it is full the connection handler answers *immediately* with an
@@ -16,13 +16,23 @@ Three production behaviours are structural, not bolted on:
   expires, whichever comes first.  A flush answers the whole group from
   one shared suffix automaton (see
   :meth:`~repro.service.engine.RouteQueryEngine.resolve_distances`).
+* **One write per pass** — a reply is appended to its connection's
+  buffer, and the first frame buffered since the last write schedules
+  one flush with ``loop.call_soon``.  Every frame queued for a
+  connection during one event-loop pass then leaves in a single
+  transport write, so 64 pipelined queries answered in one pass cost
+  one ``send``, not 64.  The read loop and the dispatcher flush before
+  they ``drain()``, and closing a connection flushes first.
+  ``server.writes`` counts the writes.
 * **Graceful drain** — :meth:`RouteQueryServer.stop` stops accepting,
   answers still-queued work (or fails it with ``SHUTTING_DOWN`` after
   ``drain_timeout``), flushes the batcher, and only then closes
-  connections.  Nothing accepted is silently dropped.
+  connections, writing their buffered replies first.  Nothing accepted
+  is silently dropped.
 
-Latency from admission to reply-write is observed into the
-``server.latency_seconds`` histogram; the whole registry snapshot is
+Latency from admission until the reply is queued for its
+connection's write is observed into the ``server.latency_seconds``
+histogram; the whole registry snapshot is
 served over ``STATS`` frames and by ``debruijn-routing serve
 --stats-json``.
 """
@@ -91,27 +101,50 @@ class _Pending:
 
 
 class _Connection:
-    """Per-connection state: writer, frame decoder, liveness."""
+    """Per-connection state: writer, frame decoder, reply buffer, liveness."""
 
-    __slots__ = ("reader", "writer", "decoder", "closed")
+    __slots__ = ("reader", "writer", "decoder", "closed", "_out", "_registry")
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        registry: MetricsRegistry,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.decoder = FrameDecoder()
         self.closed = False
+        self._out: List[bytes] = []
+        self._registry = registry
 
     def send(self, payload: bytes) -> None:
-        """Buffer ``payload`` on the transport (no-op once closed).
+        """Queue ``payload`` for this connection's next write (no-op
+        once closed).
+
+        The first frame queued since the last write schedules
+        :meth:`flush` with ``call_soon``, so every frame queued before
+        it runs leaves in the same transport write.
+        """
+        if self.closed:
+            return
+        out = self._out
+        out.append(payload)
+        if len(out) == 1:
+            asyncio.get_running_loop().call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Write every queued frame in one transport write.
 
         A peer that vanished mid-reply must never propagate out of a
         reply path — the transport error marks the connection closed
         and the read loop reaps it.
         """
-        if self.closed:
+        out = self._out
+        if not out:
             return
+        data = b"".join(out)
+        out.clear()
         if self.writer.is_closing():
             # The transport learned about the peer's reset before our
             # read loop did; writing now would only generate asyncio
@@ -119,9 +152,11 @@ class _Connection:
             self.closed = True
             return
         try:
-            self.writer.write(payload)
+            self.writer.write(data)
         except (ConnectionError, OSError, RuntimeError):
             self.closed = True
+            return
+        self._registry.inc("server.writes")
 
 
 class MicroBatcher:
@@ -267,7 +302,6 @@ class RouteQueryServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._queue is not None:
             try:
                 await asyncio.wait_for(
@@ -302,6 +336,10 @@ class RouteQueryServer:
             self._dispatcher = None
         for connection in list(self._connections):
             await self._close_connection(connection)
+        if self._server is not None:
+            # From Python 3.12.1 this also waits for every accepted
+            # connection to close, so it must follow the loop above.
+            await self._server.wait_closed()
 
     async def __aenter__(self) -> "RouteQueryServer":
         await self.start()
@@ -326,7 +364,7 @@ class RouteQueryServer:
             except (ConnectionError, OSError):
                 pass
             return
-        connection = _Connection(reader, writer)
+        connection = _Connection(reader, writer, self.registry)
         self._connections.add(connection)
         self.registry.inc("server.connections")
         read_timeout = self.config.read_timeout
@@ -466,6 +504,7 @@ class RouteQueryServer:
         await self._flush_writer(connection)
 
     async def _flush_writer(self, connection: _Connection) -> None:
+        connection.flush()
         if not connection.closed:
             try:
                 await connection.writer.drain()
@@ -478,6 +517,7 @@ class RouteQueryServer:
         self._connections.discard(connection)
         if connection.closed:
             return
+        connection.flush()
         connection.closed = True
         try:
             connection.writer.close()

@@ -515,6 +515,155 @@ def test_server_drains_cleanly_mid_burst():
     assert run(scenario())
 
 
+def test_pipelined_burst_is_answered_once_in_fewer_writes():
+    """One sendall mixing table, micro-batched, malformed and wrong-graph
+    queries: every request id gets exactly one frame of the right kind,
+    STATS balances, and the replies leave in fewer writes than replies."""
+
+    async def scenario():
+        table = CompiledRouteTable.compile(2, 6, workers=1)  # undirected
+        engine = RouteQueryEngine(2, 6, table=table)
+        rng = random.Random(14)
+        blobs, expected = [], {}
+        for x, y in _pairs(2, 6, 120, seed=14):
+            rid = len(expected)
+            blobs.append(encode_query(rid, 2, x, y))
+            expected[rid] = ("table", undirected_distance(x, y))
+        targets = [(0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 1)]
+        for index in range(60):
+            x = random_word(2, 6, rng)
+            y = targets[index % 2]
+            rid = len(expected)
+            blobs.append(encode_query(rid, 2, x, y, directed=True,
+                                      want_path=False))
+            expected[rid] = ("batched", directed_distance(x, y))
+        rid = len(expected)
+        blobs.append(encode_query(rid, 2, (0, 1, 2, 0, 1, 0), (1,) * 6))
+        expected[rid] = ("error", ErrorCode.MALFORMED)
+        rid = len(expected)
+        blobs.append(encode_query(rid, 2, (0, 1, 1, 0), (1, 1, 0, 0)))
+        expected[rid] = ("error", ErrorCode.UNSUPPORTED)
+        rng.shuffle(blobs)
+
+        async with RouteQueryServer(engine) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b"".join(blobs))
+            await writer.drain()
+            decoder, frames = FrameDecoder(), []
+            while len(frames) < len(expected):
+                data = await asyncio.wait_for(reader.read(1 << 16), 5.0)
+                assert data, f"EOF after {len(frames)} frames"
+                frames.extend(decoder.feed(data))
+            counters = server.snapshot()["counters"]
+        # stop() writes whatever is still buffered before it hangs up.
+        assert decoder.feed(await asyncio.wait_for(reader.read(), 5.0)) == []
+        writer.close()
+
+        assert sorted(frame.request_id for frame in frames) == sorted(expected)
+        for frame in frames:
+            kind, want = expected[frame.request_id]
+            if kind == "error":
+                assert frame.frame_type == FrameType.ERROR
+                assert decode_error(frame)[0] == want
+                continue
+            assert frame.frame_type == FrameType.REPLY
+            distance, path = decode_reply(frame)
+            assert distance == want
+            assert len(path) == (distance if kind == "table" else 0)
+        assert counters["server.queries"] == len(expected)
+        assert (counters["server.queries"]
+                == counters["server.replies"] + counters["server.errors"])
+        assert counters["server.replies"] == 180
+        assert counters["engine.batched"] == 60
+        assert 0 < counters["server.writes"] < counters["server.replies"]
+        return True
+
+    assert run(scenario())
+
+
+def test_buffered_replies_survive_drain():
+    """Every admitted query's reply reaches the client before EOF, the
+    ones parked in the micro-batcher until ``stop`` included."""
+
+    async def scenario():
+        engine = RouteQueryEngine(2, 6)  # no table: distance-only parks
+        config = ServerConfig(batch_deadline=60.0)
+        pairs = _pairs(2, 6, 150, seed=15)
+        server = RouteQueryServer(engine, config)
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        writer.write(b"".join(
+            encode_query(rid, 2, x, y, want_path=rid % 2 == 0)
+            for rid, (x, y) in enumerate(pairs)))
+        await writer.drain()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 5.0
+        while (server.registry.counter("server.queries").value
+               < len(pairs)):
+            assert loop.time() < deadline, "burst never fully admitted"
+            await asyncio.sleep(0.005)
+        await server.stop()
+        blob = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        frames = FrameDecoder().feed(blob)
+        assert sorted(frame.request_id for frame in frames) == list(
+            range(len(pairs)))
+        for frame in frames:
+            assert frame.frame_type == FrameType.REPLY
+            x, y = pairs[frame.request_id]
+            assert decode_reply(frame)[0] == undirected_distance(x, y)
+        return True
+
+    assert run(scenario())
+
+
+def test_peer_reset_with_buffered_replies_is_contained():
+    """A client that pipelines a burst and resets (SO_LINGER 0) before
+    reading costs the server that connection only: nothing reaches the
+    loop's exception handler and the next client is answered."""
+
+    async def scenario():
+        problems = []
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(
+            lambda _loop, context: problems.append(context))
+        try:
+            table = CompiledRouteTable.compile(2, 6, workers=1)
+            engine = RouteQueryEngine(2, 6, table=table)
+            async with RouteQueryServer(engine) as server:
+                disconnects = server.registry.counter(
+                    "server.client_disconnects")
+                before = disconnects.value
+                burst = b"".join(
+                    encode_query(rid, 2, x, y, want_path=False)
+                    for rid, (x, y) in enumerate(_pairs(2, 6, 200, seed=16)))
+                with socket.create_connection(
+                        ("127.0.0.1", server.port)) as peer:
+                    peer.sendall(burst)
+                    peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                deadline = loop.time() + 5.0
+                while disconnects.value == before:
+                    assert loop.time() < deadline, "reset never noticed"
+                    await asyncio.sleep(0.005)
+                async with RouteServiceClient(
+                    "127.0.0.1", server.port, d=2
+                ) as client:
+                    outcome = await client.query_many(_pairs(2, 6, 20, 17))
+                assert outcome.ok_count == 20
+        finally:
+            loop.set_exception_handler(None)
+        gc.collect()
+        await asyncio.sleep(0)
+        gc.collect()
+        assert problems == []
+        return True
+
+    assert run(scenario())
+
+
 def test_server_latency_histogram_populates():
     async def scenario():
         async with RouteQueryServer(RouteQueryEngine(2, 6)) as server:
