@@ -47,7 +47,8 @@ from repro.core.parallel import available_cpus, compile_table_buffers
 from repro.core.routing import route
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import Word, random_word
-from repro.service.client import fetch_stats, run_burst
+from repro.service.client import (RetryPolicy, fetch_stats, run_burst,
+                                  run_robust_burst)
 from repro.service.engine import EngineSpec, RouteQueryEngine
 from repro.service.server import RouteQueryServer, ServerConfig
 from repro.service.supervisor import SupervisorConfig, SupervisorThread
@@ -161,8 +162,9 @@ def _measure_fleet(spec: EngineSpec, d: int,
                    ) -> Dict[str, object]:
     """One pipelined burst against a ``workers``-process fleet."""
     with SupervisorThread(spec, SupervisorConfig(workers=workers)) as live:
-        outcome = run_burst("127.0.0.1", live.port, pairs, d=d,
-                            pool_size=pool_size, window=window, reconnect=2)
+        outcome, _ = run_robust_burst(
+            "127.0.0.1", live.port, pairs, d=d, pool_size=pool_size,
+            window=window, policy=RetryPolicy(retries=2))
         snapshot = fetch_stats("127.0.0.1", live.port)
     assert outcome.ok_count == len(pairs), (
         f"fleet burst lost replies: {outcome.ok_count}/{len(pairs)} "

@@ -13,12 +13,12 @@ The campaign, per fault class (baseline / latency+jitter / bandwidth
 cap / mid-frame resets / corruption+truncation / slow-loris trickle):
 
 1. **Robust client** — a 10k-query burst through the proxy with
-   retries, deadline budget, adaptive window, and inner
-   progress-aware reconnect (:class:`~repro.service.client.
-   RobustRouteClient`).  The bar: **zero lost queries** for every
-   class, plus a bounded-latency probe (p99 of a closed-loop step
-   under the same faults must stay under ``P99_BOUND_MS``).
-2. **Naive client** — the plain pipelining client with ``reconnect=0``
+   progress-aware retries, deadline budget and adaptive window
+   (:class:`~repro.service.client.RobustRouteClient`).  The bar:
+   **zero lost queries** for every class, plus a bounded-latency
+   probe (p99 of a closed-loop step under the same faults must stay
+   under ``P99_BOUND_MS``).
+2. **Naive client** — the plain pipelining client, one attempt
    (reset and corruption classes only; a naive client on a trickled
    wire just hangs).  The bar is the *contrast*: resets and corruption
    must cause measurable loss without the hardening.
@@ -148,11 +148,10 @@ def _robust_burst(port: int, pairs, d: int) -> Dict[str, object]:
 
 
 def _naive_burst(port: int, pairs, d: int) -> Dict[str, object]:
-    """The plain client, reconnect=0: the contrast measurement."""
+    """The plain client, one attempt: the contrast measurement."""
     try:
         outcome = run_burst("127.0.0.1", port, pairs, d,
-                            want_path=False, pool_size=2, window=256,
-                            reconnect=0)
+                            want_path=False, pool_size=2, window=256)
     except (ServiceError, ConnectionError, OSError) as exc:
         return {"completed": False, "lost": len(pairs),
                 "error": type(exc).__name__}

@@ -76,8 +76,10 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     """Retry/deadline/hedge/breaker knobs shared by query and loadgen.
 
     Any of ``--retries``, ``--deadline-ms``, or ``--hedge-ms`` switches
-    the command to the hardened client (E24); with none of them the
-    plain pipelining client is used, exactly as before.
+    bursts to the hardened client (E24); with none of them the plain
+    pipelining client is used, exactly as before.  A single ``query
+    SOURCE DESTINATION`` retries under the same policy, or under the
+    one-shot default when no flag is given.
     """
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="hardened client: re-ask failed or retryable "
@@ -1474,7 +1476,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         y = parse_word(args.destination, args.d)
         reply = query_once(args.host, args.port, x, y, args.d,
                            directed=args.directed,
-                           want_path=not args.distance_only)
+                           want_path=not args.distance_only, policy=policy)
         if not reply.ok:
             print(f"error reply: {reply.error_code.name} "
                   f"{reply.error_message}", file=sys.stderr)

@@ -40,7 +40,8 @@ from repro.core.packed import PackedSpace
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.resilience import compile_with_failures
 from repro.service.chaosproxy import DatagramFaultPlan, UdpChaosProxy
-from repro.service.client import fetch_stats, run_robust_burst
+from repro.service.client import (RetryPolicy, RobustRouteClient, fetch_stats,
+                                  run_robust_burst)
 from repro.service.metrics import MetricsRegistry
 
 WordTuple = Tuple[int, ...]
@@ -250,8 +251,9 @@ class ClusterHarness:
                 if budget <= 0:
                     raise SimulationError(
                         f"node {node} not ready within {timeout}s")
-                try:
-                    fetch_stats(self.spec.host, port, retries=0)
+                try:  # one attempt per poll: this loop is the retry
+                    fetch_stats(self.spec.host, port,
+                                policy=RetryPolicy(retries=0))
                     break
                 except (ConnectionError, OSError):
                     time.sleep(0.02)
@@ -524,7 +526,6 @@ def run_kill_drill(
     run a healed burst.  Returns the measurements; raises
     :class:`SimulationError` when an assertion fails.
     """
-    from repro.service.client import RetryPolicy
 
     victim = victim if victim is not None else spec.nodes - 1
     report: Dict[str, object] = {
@@ -566,8 +567,6 @@ def run_kill_drill(
         # until every survivor has repaired — so the fault, the detour
         # window, and the repair all happen under live traffic, and the
         # zero-loss claim is about queries that actually crossed them.
-        from repro.service.client import RobustRouteClient
-
         fallbacks = [(host, harness.tcp_ports[n]) for n in survivors]
         stop_flag = threading.Event()
         chunks: List[Dict[str, float]] = []

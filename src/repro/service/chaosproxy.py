@@ -185,7 +185,9 @@ class ChaosProxy:
         self._partitioned = False
         self._partition_event: Optional[asyncio.Event] = None
         self._writers: List[asyncio.StreamWriter] = []
-        self._tasks: "List[asyncio.Task]" = []
+        #: Each accepted connection's handler task and its open streams,
+        #: a connection parked in a partition included.
+        self._handlers: "Dict[asyncio.Task, List[asyncio.StreamWriter]]" = {}
         self._partition_task: Optional[asyncio.Task] = None
         self._started_at = 0.0
 
@@ -205,22 +207,28 @@ class ChaosProxy:
         return self.port
 
     async def stop(self) -> None:
-        """Close the listener and abort every live pump."""
+        """Close the listener and abort every connection.
+
+        The connections go first, parked ones included: from Python
+        3.12.1 ``Server.wait_closed()`` also waits for every accepted
+        connection to close.
+        """
         if self._partition_task is not None:
             self._partition_task.cancel()
             self._partition_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
-        for writer in list(self._writers):
-            self._abort(writer)
-        self._writers.clear()
+        if self._server is None:
+            return
+        self._server.close()
+        # An aborted stream ends its handler's pumps or partition wait.
+        # A handler accepted just before close() registers itself on
+        # its first step, so repeat until none is left.
+        while self._handlers:
+            for streams in self._handlers.values():
+                for stream in streams:
+                    self._abort(stream)
+            await asyncio.gather(*self._handlers, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
 
     async def __aenter__(self) -> "ChaosProxy":
         await self.start()
@@ -277,51 +285,47 @@ class ChaosProxy:
         index = self._conn_index
         self._conn_index += 1
         self.registry.inc("proxy.connections")
-        if self._partitioned:
-            # New connections during a partition hang in the dark until
-            # healed or the client gives up; do not dial upstream.
-            self.registry.inc("proxy.blackholed_connects")
-            try:
+        handler = asyncio.current_task()
+        streams = self._handlers[handler] = [writer]
+        try:
+            if self._partitioned:
+                # New connections during a partition hang in the dark
+                # until healed or the client gives up; do not dial
+                # upstream.
+                self.registry.inc("proxy.blackholed_connects")
                 assert self._partition_event is not None
-                waiter = asyncio.ensure_future(self._partition_event.wait())
-                eof = asyncio.ensure_future(reader.read(_READ_CHUNK))
-                done, pending = await asyncio.wait(
-                    {waiter, eof}, return_when=asyncio.FIRST_COMPLETED
+                waiters = {
+                    asyncio.ensure_future(self._partition_event.wait()),
+                    asyncio.ensure_future(reader.read(_READ_CHUNK)),
+                }
+                try:
+                    await asyncio.wait(
+                        waiters, return_when=asyncio.FIRST_COMPLETED
+                    )
+                finally:
+                    for waiter in waiters:
+                        waiter.cancel()
+                return
+            try:
+                up_reader, up_writer = await asyncio.open_connection(
+                    self.upstream_host, self.upstream_port
                 )
-                for task in pending:
-                    task.cancel()
-            finally:
-                self._abort(writer)
-            return
-        try:
-            up_reader, up_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port
+            except OSError:
+                self.registry.inc("proxy.upstream_failures")
+                return
+            streams.append(up_writer)
+            self._writers.extend(streams)
+            await asyncio.gather(
+                self._pump(reader, up_writer, self.plan.fate(index, "c2s")),
+                self._pump(up_reader, writer, self.plan.fate(index, "s2c")),
+                return_exceptions=True,
             )
-        except OSError:
-            self.registry.inc("proxy.upstream_failures")
-            self._abort(writer)
-            return
-        self._writers.append(writer)
-        self._writers.append(up_writer)
-        pumps = [
-            asyncio.create_task(
-                self._pump(reader, up_writer, self.plan.fate(index, "c2s"))
-            ),
-            asyncio.create_task(
-                self._pump(up_reader, writer, self.plan.fate(index, "s2c"))
-            ),
-        ]
-        self._tasks.extend(pumps)
-        try:
-            await asyncio.gather(*pumps, return_exceptions=True)
         finally:
-            for task in pumps:
-                if task in self._tasks:
-                    self._tasks.remove(task)
-            for w in (writer, up_writer):
-                self._abort(w)
-                if w in self._writers:
-                    self._writers.remove(w)
+            del self._handlers[handler]
+            for stream in streams:
+                self._abort(stream)
+                if stream in self._writers:
+                    self._writers.remove(stream)
 
     async def _pump(
         self,

@@ -6,22 +6,28 @@ id, and pipelines — :meth:`~RouteServiceClient.query_many` keeps a
 bounded ``window`` of queries in flight per connection instead of
 waiting a full round trip per query, which is where a de Bruijn query
 service earns its throughput (single-query latency is wire-dominated; a
-pipelined burst amortises it away).
+pipelined burst amortises it away).  It makes exactly one attempt: a
+failed connection leaves the pool and the call raises, with every reply
+received so far already in its ``results`` buffer.
 
 Blocking wrappers (:func:`query_once`, :func:`run_burst`,
 :func:`fetch_stats`) cover scripts, tests and the ``debruijn-routing
 query`` subcommand without forcing callers to manage an event loop.
 
-For hostile wires (see :mod:`repro.service.chaosproxy`) the module also
-provides a hardened layer: :class:`RetryPolicy` (per-burst deadline
-budget, exponential backoff with seeded jitter, optional hedging),
-:class:`CircuitBreaker` (closed → open → half-open with a single probe)
-and :class:`RobustRouteClient`, which wraps the plain client and
-guarantees every query gets *an* answer — a server reply, or a
-synthetic ``TIMEOUT`` reply carrying :data:`CLIENT_DEADLINE_MESSAGE`
-once the budget is spent.  Resilience events are counted in a
-:class:`~repro.service.metrics.MetricsRegistry` (``client.retries``,
-``client.deadline_exceeded``, ``client.breaker_open``, ...).
+Retrying is :class:`RetryPolicy`'s job alone, in exactly two places:
+
+* :class:`RobustRouteClient` re-asks a burst's unanswered queries under
+  the policy's retry budget and deadline, with a
+  :class:`CircuitBreaker` (closed → open → half-open with a single
+  probe), optional hedging and endpoint failover.  It guarantees every
+  query gets *an* answer — a server reply, or a synthetic ``TIMEOUT``
+  reply carrying :data:`CLIENT_DEADLINE_MESSAGE` once the budget is
+  spent.  Resilience events are counted in a
+  :class:`~repro.service.metrics.MetricsRegistry` (``client.retries``,
+  ``client.deadline_exceeded``, ``client.breaker_open``, ...).
+* :func:`query_once` and :func:`fetch_stats` repeat their idempotent
+  one-shot round trip on a fresh connection, sleeping
+  :meth:`RetryPolicy.backoff` between attempts.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.core.routing import Path
 from repro.core.word import WordTuple
@@ -51,6 +58,8 @@ from repro.service.protocol import (
 #: fabricates when a query's deadline budget runs out client-side.
 #: Loadgen and the chaos campaign treat these as *lost*, not answered.
 CLIENT_DEADLINE_MESSAGE = "client deadline exceeded"
+
+_T = TypeVar("_T")
 
 #: Error codes worth re-asking: transient server-side conditions, plus
 #: ``MALFORMED``/``INTERNAL`` which, for a query the client knows it
@@ -224,7 +233,6 @@ class RouteServiceClient:
         want_path: bool = True,
         d: Optional[int] = None,
         window: int = 256,
-        reconnect: int = 0,
         results: Optional[List[Optional[RouteReply]]] = None,
     ) -> QueryOutcome:
         """Pipeline ``pairs`` across the pool; replies come back in order.
@@ -233,16 +241,15 @@ class RouteServiceClient:
         half of backpressure); ``window=0`` means "fire everything at
         once" — used by the overload tests to slam a bounded server.
 
-        ``reconnect`` is the number of times a broken connection may be
-        replaced mid-burst, re-issuing only the still-unanswered queries
-        on a fresh stream.  The default 0 keeps the historical behaviour
-        (a mid-burst EOF raises :class:`ServiceError`); a positive value
-        makes bursts survive a crashed pool worker, whose in-flight
-        replies are genuinely lost and must be re-asked.
+        One attempt, no retries: the first shard whose connection fails
+        ends the call.  Its sibling shards are cancelled, every
+        connection that was mid-stream leaves the pool, and the error is
+        raised (a mid-burst EOF is a :class:`ServiceError`).  Re-asking
+        is :class:`RobustRouteClient`'s job.
 
         ``results`` (len == len(pairs)) is filled in place as replies
-        stream back, so a caller that cancels or times the burst out
-        still sees every reply received before the failure — the
+        stream back, so a caller whose burst fails, or who cancels or
+        times it out, still sees every reply received before that — the
         hardened client's way of keeping partial progress across
         abandoned attempts.
         """
@@ -253,10 +260,8 @@ class RouteServiceClient:
                 f"{len(pairs)} pairs")
         replies: List[Optional[RouteReply]] = (
             results if results is not None else [None] * len(pairs))
-        shards: List[List[int]] = [[] for _ in range(self.pool_size)]
-        for index in range(len(pairs)):
-            shards[index % self.pool_size].append(index)
-        pipelines = []
+        shards = [range(slot, len(pairs), self.pool_size)
+                  for slot in range(self.pool_size)]
         live_shards = []
         for slot, shard in enumerate(shards):
             if not shard:
@@ -264,30 +269,21 @@ class RouteServiceClient:
             connection = await self._connection(slot)
             live_shards.append((slot, shard, connection))
         start = time.perf_counter()
+        window = window if window > 0 else len(pairs)
         tasks = [
             asyncio.ensure_future(self._run_shard(
-                slot,
-                connection,
-                shard,
-                pairs,
-                replies,
-                base,
-                directed,
-                want_path,
-                window if window > 0 else len(pairs),
-                reconnect,
-            ))
+                slot, connection, shard, pairs, replies, base, directed,
+                want_path, window))
             for slot, shard, connection in live_shards
         ]
         try:
             await asyncio.gather(*tasks)
         except BaseException:
-            # One shard failing must not leave its siblings running:
-            # a zombie shard would keep reading (and re-dialing) pool
-            # slots that the caller's next burst reuses.
+            # The first failure ends the call.  A sibling left running
+            # could wait out a stalled stream (a corrupted length
+            # prefix) that no caller is waiting for any more.
             for task in tasks:
-                if not task.done():
-                    task.cancel()
+                task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
             raise
         elapsed = time.perf_counter() - start
@@ -298,64 +294,29 @@ class RouteServiceClient:
         self,
         slot: int,
         connection: _PooledConnection,
-        shard: List[int],
+        shard: Sequence[int],
         pairs: Sequence[Tuple[WordTuple, WordTuple]],
         replies: List[Optional[RouteReply]],
         d: int,
         directed: bool,
         want_path: bool,
         window: int,
-        reconnect: int,
     ) -> None:
-        """Drive one shard, replacing the connection up to ``reconnect`` times.
-
-        Only *unproductive* reconnects are charged against the budget:
-        a connection that answered some queries before dying reset the
-        counter, so a burst over a wire where every connection
-        eventually dies (chaos-proxy reset faults) still completes as
-        long as each connection makes progress.  Each reconnect also
-        halves the in-flight window (floor 8): on a wire that kills
-        connections after a byte quota, a big pipelined slam burns the
-        whole quota on queries whose replies never come back, while a
-        small window keeps the ratio of answered to written high.
-        """
-        attempts = 0
-        remaining = shard
-        while True:
-            try:
-                await self._pipeline(
-                    connection, remaining, pairs, replies, d, directed,
-                    want_path, window,
-                )
-                return
-            except (ServiceError, ConnectionResetError, BrokenPipeError,
-                    OSError):
-                if self._pool[slot] is connection:
-                    self._pool[slot] = None
-                try:
-                    connection.writer.close()
-                except Exception:  # pragma: no cover - best-effort close
-                    pass
-                still = [i for i in remaining if replies[i] is None]
-                if not still:
-                    return
-                if len(still) < len(remaining):
-                    attempts = 0  # progress: don't charge the budget
-                remaining = still
-                attempts += 1
-                if attempts > reconnect:
-                    raise
-                window = max(8, window >> 1)
-                if attempts > 1:
-                    # Back off only when the last connection died without
-                    # answering anything; after progress, redial at once.
-                    await asyncio.sleep(0.05 * (attempts - 1))
-                connection = await self._connection(slot)
+        """Drive one shard.  A connection that fails, or is cancelled
+        mid-stream, leaves the pool."""
+        try:
+            await self._pipeline(connection, shard, pairs, replies, d,
+                                 directed, want_path, window)
+        except BaseException:
+            if self._pool[slot] is connection:
+                self._pool[slot] = None
+            connection.writer.close()
+            raise
 
     async def _pipeline(
         self,
         connection: _PooledConnection,
-        shard: List[int],
+        shard: Sequence[int],
         pairs: Sequence[Tuple[WordTuple, WordTuple]],
         replies: List[Optional[RouteReply]],
         d: int,
@@ -436,13 +397,16 @@ class RouteServiceClient:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard a :class:`RobustRouteClient` fights for an answer.
+    """How hard a client entry point fights for an answer.
 
-    ``deadline`` is the wall-clock budget (seconds) shared by every
-    query in one burst — all attempts, backoffs and breaker waits must
-    fit inside it.  ``hedge_after`` arms hedging: if an attempt has not
-    completed within that many seconds, the same queries are raced on a
-    second connection and the first finisher wins.
+    ``retries`` bounds the re-asks and :meth:`backoff` spaces them, for
+    :class:`RobustRouteClient` bursts and the one-shot helpers alike;
+    the other fields shape bursts only.  ``deadline`` is the wall-clock
+    budget (seconds) shared by every query in one burst — all attempts,
+    backoffs and breaker waits must fit inside it.  ``hedge_after`` arms
+    hedging: if an attempt has not completed within that many seconds,
+    the same queries are raced on a second connection and the first
+    finisher wins.
     """
 
     retries: int = 4
@@ -563,10 +527,10 @@ class RobustRouteClient:
     Wraps a primary :class:`RouteServiceClient` (and, when hedging is
     armed, a second one with its own connection) behind a
     :class:`RetryPolicy` and a :class:`CircuitBreaker`.  Transport
-    failures and retryable error replies are re-asked with backoff
-    until they succeed, the retry budget runs out, or the burst's
-    deadline expires — at which point still-unanswered queries are
-    filled with synthetic ``TIMEOUT`` replies carrying
+    failures and retryable error replies are re-asked (see
+    :meth:`query_many`) until they succeed, the retry budget runs out,
+    or the burst's deadline expires — at which point still-unanswered
+    queries are filled with synthetic ``TIMEOUT`` replies carrying
     :data:`CLIENT_DEADLINE_MESSAGE` and counted in
     ``client.deadline_exceeded``.
 
@@ -669,13 +633,25 @@ class RobustRouteClient:
         want_path: bool = True,
         d: Optional[int] = None,
         window: int = 256,
-        reconnect: int = 0,  # accepted for signature parity; retries subsume it
     ) -> QueryOutcome:
         """Hardened burst: every pair gets a reply, real or synthetic.
 
-        Retries transport failures and retryable error replies with
-        backoff under the policy's deadline; progress made by a failed
-        or timed-out attempt is kept, and budgets reset on progress.
+        The module's one burst retry loop.  Each attempt asks the
+        pending pairs once over fresh or pooled connections; every
+        reply it received is kept, even when it failed or timed out.
+        Pairs still without a reply, or with a retryable error reply,
+        are re-asked until the policy's retries or deadline run out.
+        An attempt *progresses* when it settles at least one pair, and
+        three rules keep a burst moving on a wire that kills every
+        connection:
+
+        1. a progressing attempt counts as a breaker success and
+           resets the retry budget, which therefore only counts
+           consecutive attempts that settled nothing;
+        2. after a progressing attempt the loop redials at once; it
+           backs off only after an attempt that settled nothing;
+        3. each failed attempt halves the in-flight window (floor 8),
+           and the window does not grow back within the burst.
         """
         start = time.perf_counter()
         deadline = (
@@ -683,6 +659,8 @@ class RobustRouteClient:
         )
         final: List[Optional[RouteReply]] = [None] * len(pairs)
         pending = list(range(len(pairs)))
+        if window <= 0:
+            window = len(pairs)
         attempt = 0
         while pending:
             remaining = deadline - time.perf_counter() if deadline else None
@@ -697,17 +675,10 @@ class RobustRouteClient:
                 await asyncio.sleep(wait)
                 continue
             self.registry.inc("client.attempts")
-            subset = [pairs[i] for i in pending]
-            before = len(pending)
             # The attempt streams replies into this buffer, so even an
             # attempt that times out or dies mid-burst contributes the
             # replies it already received.
-            scratch: List[Optional[RouteReply]] = [None] * len(subset)
-            # Degrade the in-flight window as attempts fail: a huge
-            # write burst on a wire that resets connections mid-frame
-            # can die before a single reply streams back, so smaller
-            # windows trade throughput for guaranteed progress.
-            effective_window = max(8, window >> attempt) if window > 0 else window
+            scratch: List[Optional[RouteReply]] = [None] * len(pending)
             bound = remaining
             if self.policy.attempt_timeout is not None:
                 bound = (
@@ -715,26 +686,26 @@ class RobustRouteClient:
                     if remaining is None
                     else min(remaining, self.policy.attempt_timeout)
                 )
-            outcome: Optional[QueryOutcome] = None
+            failed = False
             try:
-                outcome = await self._attempt(
-                    subset, directed, want_path, d, effective_window, bound,
-                    scratch,
+                await self._attempt(
+                    [pairs[i] for i in pending], directed, want_path, d,
+                    window, bound, scratch,
                 )
             except (ServiceError, ConnectionError, OSError, asyncio.TimeoutError):
-                self.breaker.record_failure()
-                # A timed-out or failed attempt may leave pooled
-                # connections mid-stream (or fated to trickle forever);
-                # drop them so the retry dials fresh ones — at the next
-                # fallback endpoint, when one is configured.
+                failed = True
+                # Redial every connection, at the next fallback endpoint
+                # when one is configured: even a connection that finished
+                # its shard may sit on a trickling or dying wire.
                 await self._primary.close()
                 if self._hedge is not None:
                     await self._hedge.close()
                 self._rotate_endpoint()
-            if outcome is not None:
-                self.breaker.record_success()
-            # Harvest the scratch buffer either way: an abandoned
-            # attempt's partial replies count just as much.
+                # Rule 3: on a wire that kills connections after a byte
+                # quota, a big pipelined window burns the quota on
+                # queries whose replies never come back.
+                if window > 8:
+                    window = max(8, window >> 1)
             still: List[int] = []
             for offset, index in enumerate(pending):
                 reply = scratch[offset]
@@ -747,19 +718,23 @@ class RobustRouteClient:
                     and reply.error_code in RETRYABLE_ERROR_CODES
                 ):
                     still.append(index)
+            progressed = len(still) < len(pending)
             pending = still
+            if failed and not progressed:
+                self.breaker.record_failure()
+            else:
+                self.breaker.record_success()  # rule 1
             if not pending:
                 break
-            if len(pending) < before:
-                attempt = 0  # progress: don't charge the retry budget
-            attempt += 1
+            attempt = 0 if progressed else attempt + 1
             if attempt > self.policy.retries:
                 break
             self.registry.inc("client.retries")
-            delay = self.policy.backoff(attempt, self._rng)
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline - time.perf_counter()))
-            await asyncio.sleep(delay)
+            if attempt:  # rule 2
+                delay = self.policy.backoff(attempt, self._rng)
+                if deadline is not None:
+                    delay = min(delay, max(0.0, deadline - time.perf_counter()))
+                await asyncio.sleep(delay)
         lost = 0
         for index in range(len(pairs)):
             if final[index] is None:
@@ -781,7 +756,7 @@ class RobustRouteClient:
         window: int,
         remaining: Optional[float],
         scratch: List[Optional[RouteReply]],
-    ) -> QueryOutcome:
+    ) -> None:
         """One attempt over the primary connection, hedged onto the
         second connection if it outlives ``hedge_after``.
 
@@ -791,24 +766,21 @@ class RobustRouteClient:
         cancelled or errors out.
         """
         hedge_after = self.policy.hedge_after
-        # The inner reconnect budget preserves partial progress *within*
-        # an attempt: when every fresh connection is fated to die (e.g.
-        # reset_rate=1.0 through the chaos proxy), per-connection
-        # partial bursts are the only way the burst ever completes.
-        inner_reconnect = max(1, self.policy.retries)
         primary = asyncio.ensure_future(
             self._primary.query_many(
                 subset, directed=directed, want_path=want_path, d=d,
-                window=window, reconnect=inner_reconnect, results=scratch,
+                window=window, results=scratch,
             )
         )
         if self._hedge is None or hedge_after is None:
-            return await self._await_bounded(primary, remaining)
+            await asyncio.wait_for(primary, remaining)
+            return
         first_wait = hedge_after
         if remaining is not None:
             first_wait = min(first_wait, remaining)
         try:
-            return await asyncio.wait_for(asyncio.shield(primary), first_wait)
+            await asyncio.wait_for(asyncio.shield(primary), first_wait)
+            return
         except asyncio.TimeoutError:
             if remaining is not None and first_wait >= remaining:
                 await self._reap(primary)
@@ -820,7 +792,7 @@ class RobustRouteClient:
         hedge = asyncio.ensure_future(
             self._hedge.query_many(
                 subset, directed=directed, want_path=want_path, d=d,
-                window=window, reconnect=inner_reconnect, results=scratch,
+                window=window, results=scratch,
             )
         )
         racers = {primary, hedge}
@@ -839,20 +811,11 @@ class RobustRouteClient:
                     if not task.cancelled() and task.exception() is None:
                         if task is hedge:
                             self.registry.inc("client.hedge_wins")
-                        return task.result()
+                        return
             # both racers failed: surface the primary's error
             raise primary.exception() or ServiceError("hedged attempt failed")
         finally:
             await self._reap(primary, hedge)
-
-    @staticmethod
-    async def _await_bounded(task: "asyncio.Future", remaining: Optional[float]):
-        if remaining is None:
-            return await task
-        try:
-            return await asyncio.wait_for(task, remaining)
-        except asyncio.TimeoutError:
-            raise
 
     @staticmethod
     async def _reap(*tasks: "asyncio.Future") -> None:
@@ -869,6 +832,38 @@ class RobustRouteClient:
 # ----------------------------------------------------------------------
 
 
+#: The one-shot helpers' default: three retries on a 50 ms backoff base.
+ONE_SHOT_POLICY = RetryPolicy(retries=3)
+
+
+def _retry_one_shot(call: Callable[[], Awaitable[_T]],
+                    policy: Optional[RetryPolicy]) -> _T:
+    """Run the idempotent round trip ``call`` (a fresh connection each
+    time), repeating it after a transport failure — a refused, reset or
+    timed-out connection, or one closed before the reply.
+
+    ``policy`` (default :data:`ONE_SHOT_POLICY`) gives the retry count
+    and the :meth:`RetryPolicy.backoff` schedule; its burst fields
+    (``deadline``, ``attempt_timeout``, ``hedge_after``) do not apply to
+    one round trip.  The last attempt's failure propagates.
+    """
+    policy = policy or ONE_SHOT_POLICY
+
+    async def _run() -> _T:
+        rng = random.Random(policy.seed)
+        attempt = 0
+        while True:
+            try:
+                return await call()
+            except (ServiceError, OSError, asyncio.TimeoutError):
+                attempt += 1
+                if attempt > policy.retries:
+                    raise
+                await asyncio.sleep(policy.backoff(attempt, rng))
+
+    return asyncio.run(_run())
+
+
 def query_once(
     host: str,
     port: int,
@@ -877,39 +872,24 @@ def query_once(
     d: int,
     directed: bool = False,
     want_path: bool = True,
-    retries: int = 3,
-    backoff: float = 0.05,
+    policy: Optional[RetryPolicy] = None,
 ) -> RouteReply:
     """Connect, ask one query, disconnect — the smallest possible client.
 
-    A connection refused or reset is retried on a fresh socket up to
-    ``retries`` extra times with seeded-jitter backoff: worker respawn
-    windows (the supervisor recycling a crashed worker, a cluster node
-    restarting) last tens of milliseconds, and a one-shot query should
-    ride them out rather than bubble ``ECONNREFUSED`` to the operator.
-    The final attempt's failure propagates.
+    Retried under ``policy`` like every one-shot helper
+    (:func:`_retry_one_shot`): worker respawn windows (the supervisor
+    recycling a crashed worker, a cluster node restarting) last tens of
+    milliseconds, and a one-shot query should ride them out rather than
+    bubble ``ECONNREFUSED`` to the operator.
     """
 
-    async def _attempt() -> RouteReply:
+    async def _ask() -> RouteReply:
         async with RouteServiceClient(host, port, d=d) as client:
             return await client.query(
                 source, destination, directed=directed, want_path=want_path
             )
 
-    async def _run() -> RouteReply:
-        rng = random.Random(f"query-once:{host}:{port}")
-        for attempt in range(retries + 1):
-            try:
-                return await _attempt()
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                if attempt == retries:
-                    raise
-                await asyncio.sleep(
-                    backoff * (attempt + 1) * (0.5 + rng.random() / 2)
-                )
-        raise ServiceError("unreachable")  # pragma: no cover
-
-    return asyncio.run(_run())
+    return _retry_one_shot(_ask, policy)
 
 
 def run_burst(
@@ -921,9 +901,10 @@ def run_burst(
     want_path: bool = True,
     pool_size: int = 1,
     window: int = 256,
-    reconnect: int = 0,
 ) -> QueryOutcome:
-    """Blocking pipelined burst; returns the :class:`QueryOutcome`."""
+    """Blocking pipelined burst, one attempt (see
+    :meth:`RouteServiceClient.query_many`); returns the
+    :class:`QueryOutcome`."""
 
     async def _run() -> QueryOutcome:
         async with RouteServiceClient(
@@ -934,7 +915,6 @@ def run_burst(
                 directed=directed,
                 want_path=want_path,
                 window=window,
-                reconnect=reconnect,
             )
 
     return asyncio.run(_run())
@@ -971,35 +951,19 @@ def run_robust_burst(
 
 
 def fetch_stats(
-    host: str, port: int, retries: int = 3, backoff: float = 0.05
+    host: str, port: int, policy: Optional[RetryPolicy] = None
 ) -> Dict[str, object]:
-    """Blocking ``STATS`` round trip, retried on transport faults.
+    """Blocking ``STATS`` round trip, retried like :func:`query_once`.
 
     A ``STATS`` request is idempotent and tiny, so when the wire is
     hostile (e.g. the connection dies mid-reply behind a chaos proxy)
-    the round trip is simply repeated on a fresh connection, up to
-    ``retries`` extra attempts with seeded-jitter ``backoff`` between
-    them — jittered so a fleet of pollers hammering a respawning worker
-    doesn't re-synchronize its retries.  The final attempt's failure
-    propagates.
+    the round trip is simply repeated on a fresh connection; the seeded
+    jitter of the backoff keeps a fleet of pollers hammering a
+    respawning worker from re-synchronizing its retries.
     """
 
-    async def _attempt() -> Dict[str, object]:
+    async def _ask() -> Dict[str, object]:
         async with RouteServiceClient(host, port) as client:
             return await client.stats()
 
-    async def _run() -> Dict[str, object]:
-        rng = random.Random(f"fetch-stats:{host}:{port}")
-        for attempt in range(retries + 1):
-            try:
-                return await _attempt()
-            except (ConnectionError, OSError, ServiceError,
-                    asyncio.TimeoutError):
-                if attempt == retries:
-                    raise
-                await asyncio.sleep(
-                    backoff * (attempt + 1) * (0.5 + rng.random() / 2)
-                )
-        raise ServiceError("unreachable")  # pragma: no cover
-
-    return asyncio.run(_run())
+    return _retry_one_shot(_ask, policy)

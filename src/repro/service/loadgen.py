@@ -17,9 +17,9 @@ an operator would:
   records per worker count.
 * :func:`run_soak` holds steady load for minutes with client churn
   (vusers periodically reconnect) and window-0 slams (un-windowed
-  bursts that exercise the overload path), sampling worker RSS from
-  ``/proc``; drift in RSS or between first/last-quartile p99 is how a
-  leak or a degrading event loop shows up.
+  bursts that exercise the overload path), sampling worker anonymous
+  RSS from ``/proc``; drift in it or between first/last-quartile p99 is
+  how a leak or a degrading event loop shows up.
 
 Everything is stdlib + the existing pipelining client; async at the
 core with blocking wrappers for benches and the CLI.
@@ -63,11 +63,17 @@ def _percentile(sorted_samples: Sequence[float], q: float) -> float:
 
 
 def read_rss_bytes(pid: int) -> Optional[int]:
-    """Resident set size of ``pid`` from ``/proc`` (None off-Linux/dead)."""
+    """Anonymous resident memory of ``pid`` (``RssAnon`` in ``/proc``;
+    None off-Linux/dead).
+
+    File-backed pages are left out on purpose: a worker that first
+    faults in its mmap'd route table mid-soak grows its VmRSS by the
+    table's size without leaking a byte.
+    """
     try:
         with open(f"/proc/{pid}/status", "r", encoding="ascii") as handle:
             for line in handle:
-                if line.startswith("VmRSS:"):
+                if line.startswith("RssAnon:"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         return None
@@ -75,7 +81,8 @@ def read_rss_bytes(pid: int) -> Optional[int]:
 
 
 def fleet_rss_bytes(pids: Sequence[int]) -> Optional[int]:
-    """Summed RSS across ``pids`` (None when none are readable)."""
+    """Summed anonymous RSS across ``pids`` (None when none are
+    readable)."""
     values = [rss for rss in (read_rss_bytes(pid) for pid in pids)
               if rss is not None]
     return sum(values) if values else None
@@ -157,7 +164,7 @@ class SweepResult:
 
 @dataclass
 class SoakResult:
-    """A soak run: per-quartile latency plus RSS drift."""
+    """A soak run: per-quartile latency plus anonymous-RSS drift."""
 
     duration: float
     queries: int
@@ -172,7 +179,8 @@ class SoakResult:
 
     @property
     def rss_drift(self) -> Optional[float]:
-        """Fractional RSS growth over the soak (None when unreadable)."""
+        """Fractional anonymous-RSS growth over the soak (None when
+        unreadable)."""
         if not self.rss_first_bytes or self.rss_last_bytes is None:
             return None
         return (self.rss_last_bytes - self.rss_first_bytes) / self.rss_first_bytes
@@ -266,7 +274,6 @@ async def _vuser(
     interval: Optional[float],
     rng: random.Random,
     batch: int = 1,
-    reconnect: int = 8,
     policy: Optional[RetryPolicy] = None,
     breaker: Optional[BreakerConfig] = None,
     client_registry: Optional[MetricsRegistry] = None,
@@ -279,7 +286,8 @@ async def _vuser(
     knee visible).  ``interval=None`` runs flat out.
 
     With a ``policy`` the vuser drives a :class:`RobustRouteClient`
-    (retries, deadline budget, breaker) instead of the plain client;
+    (retries, deadline budget, breaker) instead of the plain client,
+    which asks each batch once and records a failed batch as lost;
     synthetic client-deadline replies are recorded as *failures*, not
     answers, so ``--assert-complete`` stays honest under chaos.
     """
@@ -308,7 +316,6 @@ async def _vuser(
                     pairs,
                     directed=scenario.directed,
                     want_path=scenario.want_path,
-                    reconnect=reconnect,
                 )
             except (ServiceError, OSError):
                 done_at = time.perf_counter()
@@ -466,7 +473,8 @@ async def run_soak(
     path stays hot.  Slams: once per quartile a client fires a
     ``slam_size`` burst with ``window=0`` (everything in flight at
     once), exercising the admission queue / OVERLOADED path mid-soak.
-    RSS is sampled from ``rss_pids`` after warmup and again at the end.
+    Anonymous RSS (:func:`read_rss_bytes`) is sampled from ``rss_pids``
+    after warmup and again at the end.
     """
     started = time.perf_counter()
     stop_at = started + duration
@@ -495,7 +503,8 @@ async def run_soak(
         nonlocal slams
         rng = random.Random(scenario.seed ^ 0x51A117)
         quarter = duration / 4.0
-        client = RouteServiceClient(host, port, d=scenario.d)
+        client = RobustRouteClient(host, port, d=scenario.d,
+                                   policy=RetryPolicy(retries=4))
         try:
             for quartile in range(4):
                 due = started + quartile * quarter + quarter / 2
@@ -504,18 +513,15 @@ async def run_soak(
                     await asyncio.sleep(delay)
                 if time.perf_counter() >= stop_at:
                     break
-                pairs = scenario.pairs(rng, slam_size)
-                try:
-                    await client.query_many(
-                        pairs,
-                        directed=scenario.directed,
-                        want_path=scenario.want_path,
-                        window=0,
-                        reconnect=4,
-                    )
-                    slams += 1
-                except (ServiceError, OSError):  # pragma: no cover
-                    pass
+                # The hardened client never raises on a transport
+                # failure, and re-asks what the slam got OVERLOADED.
+                await client.query_many(
+                    scenario.pairs(rng, slam_size),
+                    directed=scenario.directed,
+                    want_path=scenario.want_path,
+                    window=0,
+                )
+                slams += 1
         finally:
             await client.close()
 

@@ -24,6 +24,7 @@ from repro.service.client import (
 )
 from repro.service.engine import RouteQueryEngine
 from repro.service.metrics import MetricsRegistry
+from repro.service.protocol import encode_query
 from repro.service.server import RouteQueryServer
 from tests.test_service import _pairs
 
@@ -211,6 +212,69 @@ def test_proxy_corruption_fault_robust_client_survives():
     assert run(scenario())
 
 
+ACCOUNTING_PLANS = {
+    "reset": FaultPlan(seed="acct-reset", reset_rate=1.0),
+    "corruption": FaultPlan(seed="acct-garble", corrupt_rate=0.2,
+                            truncate_rate=0.1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ACCOUNTING_PLANS))
+def test_robust_burst_accounting_over_consecutive_bursts(fault):
+    """Every burst of one client accounts for every query it was given.
+
+    Each burst returns one reply per pair, each reply is ok, a server
+    error or lost, and the lost ones are exactly the rise in
+    ``client.deadline_exceeded``.  On the reset class every attempt
+    answers something before its connection dies, so no attempt may
+    count against the breaker: every attempt is a burst's first or a
+    counted retry, and the breaker never opens.
+    """
+    bursts = 4
+
+    async def scenario():
+        async with RouteQueryServer(RouteQueryEngine(2, 6)) as server:
+            async with ChaosProxy("127.0.0.1", server.port,
+                                  ACCOUNTING_PLANS[fault]) as proxy:
+                policy = RetryPolicy(retries=8, deadline=30.0,
+                                     attempt_timeout=2.0,
+                                     seed=f"t-acct-{fault}")
+                async with RobustRouteClient(
+                    "127.0.0.1", proxy.port, d=2, pool_size=2,
+                    policy=policy,
+                ) as client:
+                    for burst in range(bursts):
+                        pairs = _pairs(2, 6, 300, 20 + burst)
+                        before = client.registry.snapshot()["counters"].get(
+                            "client.deadline_exceeded", 0)
+                        outcome = await client.query_many(pairs,
+                                                          want_path=False)
+                        counters = client.registry.snapshot()["counters"]
+                        lost = sum(
+                            1 for r in outcome.replies
+                            if r.error_message == CLIENT_DEADLINE_MESSAGE)
+                        errors = sum(
+                            1 for r in outcome.replies
+                            if not r.ok
+                            and r.error_message != CLIENT_DEADLINE_MESSAGE)
+                        assert len(outcome.replies) == len(pairs)
+                        assert outcome.ok_count + errors + lost == len(pairs)
+                        assert lost == counters.get(
+                            "client.deadline_exceeded", 0) - before
+                injected = proxy.snapshot()["counters"]
+                if fault == "corruption":
+                    assert (injected.get("proxy.bytes_corrupted", 0)
+                            + injected.get("proxy.truncations", 0)) >= bursts
+                if fault == "reset":
+                    assert injected["proxy.resets_injected"] >= bursts
+                    assert counters["client.attempts"] == (
+                        bursts + counters.get("client.retries", 0))
+                    assert counters.get("client.breaker_open", 0) == 0
+        return True
+
+    assert run(scenario())
+
+
 def test_partition_opens_breaker_and_heals_within_probe():
     """Black hole -> breaker opens; heal -> recovery within one probe."""
     async def scenario():
@@ -253,6 +317,48 @@ def test_partition_opens_breaker_and_heals_within_probe():
                 counters = proxy.snapshot()["counters"]
                 assert counters["proxy.partitions"] == 1
                 assert counters["proxy.heals"] == 1
+        return True
+
+    assert run(scenario())
+
+
+def test_proxy_stop_aborts_live_and_parked_connections():
+    """stop() returns promptly with a client mid-stream and another
+    parked in a partition: from Python 3.12.1 ``Server.wait_closed()``
+    waits for every accepted connection, so the proxy must abort its
+    connections, the parked one included, before it waits."""
+    async def scenario():
+        async with RouteQueryServer(RouteQueryEngine(2, 6)) as server:
+            proxy = ChaosProxy("127.0.0.1", server.port,
+                               FaultPlan(seed="stop"))
+            await proxy.start()
+            live_reader, live_writer = await asyncio.open_connection(
+                "127.0.0.1", proxy.port)
+            (x, y), = _pairs(2, 6, 1, 12)
+            live_writer.write(encode_query(1, 2, x, y, False, False))
+            await live_writer.drain()
+            assert await live_reader.read(1 << 16)  # the pumps are live
+            live_writer.write(encode_query(2, 2, x, y, False, False)[:5])
+            await live_writer.drain()  # ...and half a frame is in flight
+
+            proxy.partition()
+            parked_reader, parked_writer = await asyncio.open_connection(
+                "127.0.0.1", proxy.port)
+            while not proxy.snapshot()["counters"].get(
+                    "proxy.blackholed_connects"):
+                await asyncio.sleep(0.01)
+
+            started = time.perf_counter()
+            await asyncio.wait_for(proxy.stop(), 5.0)
+            assert time.perf_counter() - started < 1.0
+            for reader in (live_reader, parked_reader):
+                try:
+                    tail = await asyncio.wait_for(reader.read(), 1.0)
+                except ConnectionError:
+                    tail = b""
+                assert tail == b""
+            live_writer.close()
+            parked_writer.close()
         return True
 
     assert run(scenario())

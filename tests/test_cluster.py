@@ -24,8 +24,8 @@ from repro.core.routing import path_words
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.membership import SwimConfig
 from repro.network.resilience import compile_with_failures
-from repro.service.client import (RobustRouteClient, fetch_stats, query_once,
-                                  run_robust_burst)
+from repro.service.client import (RetryPolicy, RobustRouteClient, fetch_stats,
+                                  query_once, run_robust_burst)
 from repro.service.engine import RouteQueryEngine
 from repro.service.server import RouteQueryServer, ServerConfig
 
@@ -274,7 +274,8 @@ def test_query_once_rides_out_a_respawn_window():
     try:
         space = PackedSpace(2, 5)
         reply = query_once(HOST, port, space.unpack(3), space.unpack(17),
-                           d=2, retries=10, backoff=0.08)
+                           d=2, policy=RetryPolicy(retries=10,
+                                                   backoff_base=0.08))
         assert reply.ok and reply.distance is not None
     finally:
         thread.join(timeout=10.0)
@@ -282,7 +283,7 @@ def test_query_once_rides_out_a_respawn_window():
     # Without retries the refused connection surfaces immediately.
     with pytest.raises((ConnectionError, OSError)):
         query_once(HOST, _reserved_dead_port(), space.unpack(3),
-                   space.unpack(17), d=2, retries=0)
+                   space.unpack(17), d=2, policy=RetryPolicy(retries=0))
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +339,8 @@ def test_harness_status_kill_and_expected_digest(tmp_path):
         assert rows[0]["alive"] is False
         # The dead node's port is genuinely closed, not a backlog hang.
         with pytest.raises((ConnectionError, OSError)):
-            fetch_stats(HOST, harness.tcp_ports[0], retries=0)
+            fetch_stats(HOST, harness.tcp_ports[0],
+                        policy=RetryPolicy(retries=0))
         # Survivors still answer whole-graph queries after repair.
         pairs = harness.sample_pairs(64, dead=[0])
         outcome, _ = run_robust_burst(HOST, harness.tcp_ports[1], pairs,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +61,50 @@ def test_rss_reading_on_this_platform():
         total = fleet_rss_bytes([os.getpid(), os.getpid()])
         assert total == 2 * rss or total > 0  # racy second read is fine
     assert read_rss_bytes(2**22 + 12345) is None  # no such pid
+
+
+_MAPPER = """
+import mmap, sys
+print("ready", flush=True)
+sys.stdin.readline()
+with open(sys.argv[1], "rb") as handle:
+    table = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    touched = sum(table[at] for at in range(0, len(table), mmap.PAGESIZE))
+print("mapped", flush=True)
+sys.stdin.readline()
+"""
+
+
+def _vmrss_bytes(pid):
+    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError(f"pid {pid} has no VmRSS line")
+
+
+def test_soak_rss_reading_leaves_out_mapped_file_pages(tmp_path):
+    """A worker that faults in a mapped table after the soak's first
+    RSS sample grows VmRSS by the table's size without leaking; the
+    soak's reading must not move."""
+    if read_rss_bytes(os.getpid()) is None:
+        pytest.skip("no RssAnon in /proc on this platform")
+    table = tmp_path / "table.bin"
+    table.write_bytes(b"\x01" * (16 << 20))
+    # Leaving the block closes the child's stdin, which ends it.
+    with subprocess.Popen([sys.executable, "-c", _MAPPER, str(table)],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as child:
+        assert child.stdout.readline().strip() == "ready"
+        vmrss_first = _vmrss_bytes(child.pid)
+        soak_first = fleet_rss_bytes([child.pid])
+        child.stdin.write("map\n")
+        child.stdin.flush()
+        assert child.stdout.readline().strip() == "mapped"
+        vmrss_last = _vmrss_bytes(child.pid)
+        soak_last = fleet_rss_bytes([child.pid])
+    assert vmrss_last - vmrss_first > 12 << 20
+    assert abs(soak_last - soak_first) < 1 << 20
 
 
 def test_step_result_slo_logic():

@@ -20,6 +20,7 @@ from repro.core.word import random_word
 from repro.exceptions import ProtocolError, ServiceError
 from repro.service.client import (
     QueryOutcome,
+    RetryPolicy,
     RouteReply,
     RouteServiceClient,
     fetch_stats,
@@ -974,13 +975,17 @@ def test_fetch_stats_retries_through_connection_resets():
     SO_LINGER trick forces a real TCP reset) and only answers the STATS
     frame on the third; the default retry budget must ride that out,
     while a zero-retry budget against a permanently hostile server must
-    still surface the transport error.
+    still surface the transport error.  query_once retries through the
+    same helper, so one more input closes the first connection with a
+    FIN after reading the query and before replying (the client sees a
+    ``ServiceError``): one retry must bring back the second answer.
     """
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(8)
     port = listener.getsockname()[1]
     resets_left = [2]
+    fins_left = [0]
 
     def serve():
         while True:
@@ -1001,7 +1006,11 @@ def test_fetch_stats_retries_through_connection_resets():
                 if not data:
                     break
                 frames = decoder.feed(data)
-            if frames:
+            if frames and fins_left[0] > 0:
+                fins_left[0] -= 1
+            elif frames and frames[0].frame_type == FrameType.QUERY:
+                conn.sendall(encode_reply(frames[0].request_id, 3, None))
+            elif frames:
                 conn.sendall(encode_stats_reply(
                     frames[0].request_id,
                     {"counters": {"server.replies": 7}}))
@@ -1010,12 +1019,21 @@ def test_fetch_stats_retries_through_connection_resets():
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        snapshot = fetch_stats("127.0.0.1", port, retries=3, backoff=0.01)
+        snapshot = fetch_stats(
+            "127.0.0.1", port,
+            policy=RetryPolicy(retries=3, backoff_base=0.01))
         assert snapshot["counters"]["server.replies"] == 7
 
         resets_left[0] = 10 ** 9
         with pytest.raises((ConnectionError, OSError, ServiceError)):
-            fetch_stats("127.0.0.1", port, retries=1, backoff=0.01)
+            fetch_stats("127.0.0.1", port,
+                        policy=RetryPolicy(retries=1, backoff_base=0.01))
+
+        resets_left[0], fins_left[0] = 0, 1
+        reply = query_once(
+            "127.0.0.1", port, (0, 1, 1), (1, 1, 0), 2,
+            policy=RetryPolicy(retries=1, backoff_base=0.01))
+        assert reply.ok and reply.distance == 3 and fins_left[0] == 0
     finally:
         listener.close()
         thread.join(5)

@@ -10,7 +10,8 @@ import time
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service.client import fetch_stats, query_once, run_burst
+from repro.service.client import (RetryPolicy, fetch_stats, query_once,
+                                  run_burst, run_robust_burst)
 from repro.service.engine import EngineSpec, RouteQueryEngine, build_engine
 from repro.service.supervisor import (
     LISTENER_MODES,
@@ -174,9 +175,9 @@ def test_fleet_sigterm_worker_drains_in_flight():
         result = {}
 
         def _burst():
-            result["outcome"] = run_burst(
+            result["outcome"], _ = run_robust_burst(
                 "127.0.0.1", live.port, pairs, 2, pool_size=4,
-                window=64, reconnect=8)
+                window=64, policy=RetryPolicy(retries=8))
 
         worker = threading.Thread(target=_burst)
         worker.start()
@@ -204,9 +205,9 @@ def test_fleet_kill9_mid_burst_respawns_and_burst_completes():
         result = {}
 
         def _burst():
-            result["outcome"] = run_burst(
+            result["outcome"], _ = run_robust_burst(
                 "127.0.0.1", live.port, pairs, 2, pool_size=4,
-                window=64, reconnect=8)
+                window=64, policy=RetryPolicy(retries=8))
 
         worker = threading.Thread(target=_burst)
         worker.start()
@@ -216,7 +217,7 @@ def test_fleet_kill9_mid_burst_respawns_and_burst_completes():
         worker.join(timeout=60)
         assert not worker.is_alive()
         outcome = result["outcome"]
-        assert outcome.ok_count == len(pairs)  # reconnect re-asked the lost
+        assert outcome.ok_count == len(pairs)  # retries re-asked the lost
 
         assert live.wait_for_workers(2, timeout=30)
         deadline = time.monotonic() + 30
@@ -231,8 +232,9 @@ def test_fleet_kill9_mid_burst_respawns_and_burst_completes():
         assert victim not in live.worker_pids()
 
         # The respawned fleet still answers.
-        tail = run_burst("127.0.0.1", live.port, _pairs(2, 6, 100, seed=53),
-                         2, pool_size=2, reconnect=4)
+        tail, _ = run_robust_burst("127.0.0.1", live.port,
+                                   _pairs(2, 6, 100, seed=53), 2, pool_size=2,
+                                   policy=RetryPolicy(retries=4))
         assert tail.ok_count == 100
 
 
@@ -288,9 +290,10 @@ def test_fleet_sigstop_worker_is_detected_hung_and_recycled():
         assert live.supervisor.restarts_used <= config.max_restarts
 
         # The recycled fleet still answers.
-        outcome = run_burst("127.0.0.1", live.port,
-                            _pairs(2, 6, 100, seed=61), 2,
-                            pool_size=2, reconnect=4)
+        outcome, _ = run_robust_burst("127.0.0.1", live.port,
+                                      _pairs(2, 6, 100, seed=61), 2,
+                                      pool_size=2,
+                                      policy=RetryPolicy(retries=4))
         assert outcome.ok_count == 100
 
 
