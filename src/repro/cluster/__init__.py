@@ -4,10 +4,11 @@ Each prefix-shard group of DG(d, k) runs as its own OS process serving
 route queries over the E21 TCP protocol, while the SWIM layer from
 :mod:`repro.network.membership` — the very same :class:`SwimMember`
 state machine the simulator drives — runs over wall-clock asyncio UDP
-datagrams.  A DEAD verdict triggers detection-driven self-healing
-(:class:`repro.network.resilience.SelfHealingRouteTable`) in every
-surviving process, with distance-ranked local detours answering queries
-whose next hop died until the repair lands.
+datagrams.  A DEAD verdict triggers detection-driven self-healing in
+every surviving process: the node fills a fresh route table for the
+surviving topology between event-loop passes and swaps it in whole,
+with distance-ranked local detours answering queries whose next hop
+died until the repair lands.
 
 Layout:
 
@@ -15,7 +16,7 @@ Layout:
 * :mod:`repro.cluster.swim` — wall-clock :class:`Clock`/``Transport``
   bindings and the per-process :class:`SwimAgent`.
 * :mod:`repro.cluster.node` — the node process: engine + server +
-  agent + self-healing loop.
+  agent + repair loop.
 * :mod:`repro.cluster.harness` — spawn/kill/isolate N node processes
   and run measured fault drills (the ``repro cluster`` CLI's engine).
 """

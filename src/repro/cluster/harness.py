@@ -607,6 +607,11 @@ def run_kill_drill(
         burst_thread.start()
         time.sleep(0.1)  # let the burst get in flight
 
+        # A survivor's own incarnation rises only when a peer suspected
+        # it and it had to refute: compared again after the repair.
+        incarnation_before = {
+            node: harness.counters(node).get("swim.incarnation", 0)
+            for node in survivors}
         kill_stamp = harness.kill(victim)
         verdicts = harness.wait_for_verdict([victim])
         detection = {node: stamp - kill_stamp
@@ -622,10 +627,15 @@ def run_kill_drill(
                           for node, stamp in repaired.items()}
         want_digest = harness.expected_digest([victim])
         digests: Dict[int, int] = {}
+        dead_masks: Dict[int, int] = {}
+        incarnations: Dict[int, List[int]] = {}
         detoured = 0
         for node in survivors:
             counters = harness.counters(node)
             digests[node] = counters.get("cluster.table_digest", -1)
+            dead_masks[node] = counters.get("cluster.dead_mask", -1)
+            incarnations[node] = [incarnation_before[node],
+                                  counters.get("swim.incarnation", 0)]
             detoured += counters.get("cluster.detoured_queries", 0)
             if digests[node] != want_digest:
                 raise SimulationError(
@@ -674,6 +684,8 @@ def run_kill_drill(
             "expected": want_digest,
             "survivors": digests,
         }
+        report["dead_mask"] = dead_masks
+        report["incarnation"] = incarnations
         report["detoured_queries"] = detoured
 
         # Phase 2: healed — survivors answer directly, no retries needed.

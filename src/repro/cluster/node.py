@@ -2,7 +2,7 @@
 
 A node owns a contiguous packed-site range of DG(d, k) (its
 "prefix-shard group"), answers route queries for the *whole* graph from
-its own writable mmap of the compiled table, and runs a
+a read-only mmap of the compiled table, and runs a
 :class:`~repro.cluster.swim.SwimAgent` against its peers.  When the
 agent confirms a peer DEAD, every site in that peer's range is treated
 as failed:
@@ -12,11 +12,12 @@ as failed:
    :meth:`~repro.network.resilience.LocalDetourPolicy.ranked_alternatives`
    (distance-layer deflection, bounded alternatives and budget), so
    queries keep answering from the stale table;
-2. a background task runs
-   :meth:`~repro.network.resilience.SelfHealingRouteTable.sync`, which
-   restores pristine rows and re-repairs — byte-identical to a fresh
-   ``compile_with_failures`` on the surviving topology — after which
-   detour mode ends.
+2. a background task fills a fresh table for the surviving topology
+   with the blocked fill ``compile_with_failures`` runs, so its bytes
+   are identical.  It fills at most ``_STEP_CELLS`` cells per step and
+   yields to the event loop between steps, so the SWIM agent and the
+   server keep answering through the repair.  The finished table then
+   replaces the served one in a single step, and detour mode ends.
 
 Both phases are measured, not assumed: the engine counts detoured
 queries, the node publishes repair counts/latency and a table digest
@@ -28,21 +29,28 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import mmap
 import signal
 import socket
 import time
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.arraybfs import ACTION_AT_DESTINATION, ACTION_UNREACHABLE
+from repro.core.arraybfs import (ACTION_AT_DESTINATION, ACTION_UNREACHABLE,
+                                 fill_table_rows)
 from repro.core.tables import CompiledRouteTable
 from repro.exceptions import RoutingError
 from repro.network.membership import SwimConfig
-from repro.network.resilience import (LocalDetourPolicy,
-                                      SelfHealingRouteTable)
+from repro.network.resilience import LocalDetourPolicy
 from repro.service.engine import _STEP_OF_ACTION, RouteQueryEngine
 from repro.service.metrics import MetricsRegistry
 from repro.service.server import RouteQueryServer, ServerConfig
+
+
+#: Table cells one repair step may fill before it yields to the event
+#: loop.  A cell count rather than a row count, so that one step holds
+#: the loop for the same few milliseconds whatever k is.
+_STEP_CELLS = 1 << 15
 
 
 def table_digest(table: CompiledRouteTable) -> int:
@@ -52,12 +60,22 @@ def table_digest(table: CompiledRouteTable) -> int:
     and the harness's fresh ``compile_with_failures``: equal digests
     over the full ``2 * order**2`` payload (sha256-truncated) mean equal
     bytes for any practical purpose, and an int travels through the
-    ``STATS`` counter snapshot unchanged.
+    ``STATS`` counter snapshot unchanged.  The payload is hashed row by
+    row, each destination's action row then its distance row, so a
+    repair can hash every step's rows as it fills them.
     """
     digest = hashlib.sha256()
-    digest.update(table.actions)
-    digest.update(table.distances)
+    _hash_rows(digest, table, 0, table.order)
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def _hash_rows(digest, table: CompiledRouteTable, start: int,
+               stop: int) -> None:
+    """Feed rows ``start..stop`` to ``digest``, as :func:`table_digest` does."""
+    n = table.order
+    for base in range(start * n, stop * n, n):
+        digest.update(table.actions[base:base + n])
+        digest.update(table.distances[base:base + n])
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,7 @@ class ClusterNodeSpec:
     where node *i*'s membership port is reached — the node's own entry
     is its real bind address, other entries may point at the harness's
     wire-fault proxies.  ``repair_delay`` artificially postpones the
-    self-healing sync so tests and benchmarks can observe (and count) a
+    table repair so tests and benchmarks can observe (and count) a
     real detour window even on fast hardware.
     """
 
@@ -116,9 +134,9 @@ class ClusterQueryEngine(RouteQueryEngine):
     has *not yet been repaired into the table*.  While non-empty, path
     queries walk the (stale) table checking each next hop against the
     set and deflecting through the detour policy's ranked alternatives;
-    once the self-healing sync lands the set empties and the engine is
-    exactly its parent again (the repaired table routes around the dead
-    range by construction).
+    once the repaired table is swapped in the set empties and the engine
+    is exactly its parent again (the repaired table routes around the
+    dead range by construction).
     """
 
     def __init__(
@@ -205,11 +223,9 @@ class _ClusterNode:
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.spec = spec
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.table = CompiledRouteTable.load(spec.table_path, writable=True)
-        self.healer = SelfHealingRouteTable(self.table)
+        self.table = CompiledRouteTable.load(spec.table_path)
         self.engine = ClusterQueryEngine(
-            spec.d, spec.k, self.table, registry=self.registry,
-            detour_policy=LocalDetourPolicy(self.table))
+            spec.d, spec.k, self.table, registry=self.registry)
         self.agent: Optional[object] = None
         self._verdict: FrozenSet[int] = frozenset()
         self._repair_task: Optional[asyncio.Task] = None
@@ -245,24 +261,55 @@ class _ClusterNode:
                 if self._verdict != target:
                     continue  # verdict moved while we held the window open
             started = time.perf_counter()
-            report = self.healer.sync(spec.failed_sites(target))
-            elapsed = time.perf_counter() - started
-            if report is not None:
-                registry.inc("cluster.repairs")
-                registry.histogram("cluster.repair_ms").observe(
-                    elapsed * 1000.0)
-            registry.set_counter("cluster.rows_repaired",
-                                 self.healer.rows_repaired)
-            registry.set_counter("cluster.rows_patched",
-                                 self.healer.rows_patched)
-            registry.set_counter("cluster.table_digest",
-                                 table_digest(self.table))
-            if self._verdict == target:
-                # The table now encodes the verdict: leave detour mode.
-                self.engine.dead_packed = frozenset()
-                registry.set_counter("cluster.unrepaired", 0)
-                return
-            # A newer verdict arrived mid-repair: go again.
+            built = await self._fill(target)
+            if built is None:
+                continue  # verdict moved mid-fill: start again
+            fresh, digest = built
+            # No await from here on: a query sees either the old table in
+            # detour mode or the new one, whole, out of detour mode.
+            old, self.table = self.table, fresh
+            self.engine.attach_table(fresh)
+            self.engine.dead_packed = frozenset()
+            old.close()
+            registry.inc("cluster.repairs")
+            registry.histogram("cluster.repair_ms").observe(
+                (time.perf_counter() - started) * 1000.0)
+            registry.set_counter("cluster.table_digest", digest)
+            registry.set_counter("cluster.unrepaired", 0)
+            return
+
+    async def _fill(self, target: FrozenSet[int]
+                    ) -> Optional[Tuple[CompiledRouteTable, int]]:
+        """A fresh table for ``target`` and its digest, built in steps.
+
+        Each step fills and hashes at most ``_STEP_CELLS`` cells, then
+        yields to the event loop; returns None as soon as the verdict
+        has moved on from ``target``.  The buffers are one anonymous
+        mapping, so allocating them holds the loop for no step either:
+        the kernel hands out zeroed pages as the fill first touches them.
+        """
+        spec = self.spec
+        n = spec.d ** spec.k
+        cells = n * n
+        mapping = mmap.mmap(-1, 2 * cells)
+        fresh = CompiledRouteTable(
+            spec.d, spec.k, spec.directed, memoryview(mapping)[:cells],
+            memoryview(mapping)[cells:], _mmap=mapping)
+        blocked = spec.failed_sites(target)
+        rows = max(1, _STEP_CELLS // n)
+        digest = hashlib.sha256()
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            fill_table_rows(spec.d, spec.k, range(start, stop),
+                            spec.directed,
+                            fresh.distances[start * n:stop * n],
+                            fresh.actions[start * n:stop * n], blocked)
+            _hash_rows(digest, fresh, start, stop)
+            await asyncio.sleep(0)
+            if self._verdict != target:
+                fresh.close()
+                return None
+        return fresh, int.from_bytes(digest.digest()[:8], "big")
 
     # -- lifecycle -------------------------------------------------------
 

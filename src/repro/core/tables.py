@@ -132,10 +132,10 @@ class CompiledRouteTable:
     def thaw(self) -> "CompiledRouteTable":
         """A deep copy with mutable ``bytearray`` buffers.
 
-        The fault-repair layer (:mod:`repro.network.resilience`) patches
-        action/distance rows in place; tables loaded read-only (or
-        compiled to immutable ``bytes``) are thawed first.  The original
-        table is left untouched.
+        The fault-repair layer (:mod:`repro.network.resilience`) refills
+        action/distance rows in place; loaded tables (read-only) and
+        compiled ones (immutable ``bytes``) are thawed first.  The
+        original table is left untouched.
         """
         return CompiledRouteTable(
             self.d, self.k, self.directed,
@@ -260,8 +260,7 @@ class CompiledRouteTable:
         return len(MAGIC2) + _HEADER.size + _CHECKSUMS.size + self.nbytes
 
     @classmethod
-    def load(cls, path: str, use_mmap: bool = True,
-             writable: bool = False) -> "CompiledRouteTable":
+    def load(cls, path: str, use_mmap: bool = True) -> "CompiledRouteTable":
         """Load a :meth:`save`'d table, zero-copy via ``mmap`` by default.
 
         With ``use_mmap=True`` the action/distance buffers are read-only
@@ -269,14 +268,8 @@ class CompiledRouteTable:
         costs milliseconds to open and only faults in the rows actually
         routed.  ``use_mmap=False`` reads everything into plain bytes.
         Call :meth:`close` (or drop the table) to release the mapping.
-
-        ``writable=True`` maps the file copy-on-write
-        (``mmap.ACCESS_COPY``): the in-memory action/distance arrays can
-        be patched in place — the fault-repair layer rewrites only the
-        rows a failure invalidated — while the file on disk stays
-        pristine and only the touched pages are privately duplicated.
-        With ``use_mmap=False`` it falls back to plain ``bytearray``
-        copies.
+        Either way the buffers are read-only; :meth:`thaw` makes a
+        mutable copy.
 
         Both format versions load.  A v2 file's header checksum is
         always verified (a corrupt or torn header fails loudly instead
@@ -332,8 +325,8 @@ class CompiledRouteTable:
                     f"{path!r} is truncated: {size} bytes, expected {expected}"
                 )
             if use_mmap:
-                access = mmap.ACCESS_COPY if writable else mmap.ACCESS_READ
-                mapping = mmap.mmap(handle.fileno(), 0, access=access)
+                mapping = mmap.mmap(handle.fileno(), 0,
+                                    access=mmap.ACCESS_READ)
                 view = memoryview(mapping)
                 actions = view[header_size:header_size + cells]
                 distances = view[header_size + cells:expected]
@@ -347,13 +340,7 @@ class CompiledRouteTable:
                         f"{path!r} body checksum mismatch "
                         f"({got:#010x} != {body_crc:#010x}): corrupted table"
                     )
-            if writable:
-                actions: ByteBuffer = bytearray(data[:cells])
-                distances: ByteBuffer = bytearray(data[cells:])
-            else:
-                actions = data[:cells]
-                distances = data[cells:]
-            return cls(d, k, bool(directed), actions, distances)
+            return cls(d, k, bool(directed), data[:cells], data[cells:])
         except Exception:
             handle.close()
             raise

@@ -53,7 +53,6 @@ from repro.network.router import (
 from repro.network.reliable import ReliableTransport, Transfer, TransportStats
 from repro.network.resilience import (
     LocalDetourPolicy,
-    RepairReport,
     SelfHealingRouteTable,
     compile_with_failures,
     repair_route_table,
@@ -81,7 +80,6 @@ __all__ = [
     "ControlCode",
     "FaultEvent",
     "LocalDetourPolicy",
-    "RepairReport",
     "SelfHealingRouteTable",
     "compile_with_failures",
     "generate_schedule",

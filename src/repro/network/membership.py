@@ -1,7 +1,7 @@
 """Distributed failure detection: per-site membership views (E20/E25).
 
 Everything the resilience stack did until now — local detours,
-incremental table repair, the chaos campaign's self-healing strategy —
+table repair, the chaos campaign's self-healing strategy —
 consulted the simulator's *oracle* liveness set, knowledge no real site
 possesses.  This module closes that gap with a SWIM-style failure
 detector (Das–Gupta–Motivala, DSN 2002):

@@ -16,21 +16,18 @@ Three layers make the simulator survive the chaos engine
   tolerance bound — and a per-message detour budget rules out
   deflection livelock.  The global failed set is never consulted.
 
-* **Incremental table repair** — :func:`repair_route_table` patches a
-  mutable :class:`repro.core.tables.CompiledRouteTable` in place after
-  site failures.  Only the rows whose shortest-path trees actually
-  route a surviving source through a failed site are re-BFS'd (by the
-  array kernel with the failed sites blocked); rows where the
-  failed sites are leaves only get their failed-source cells cleared.
-  The result is **byte-identical** to a full recompile on the surviving
-  topology (:func:`compile_with_failures`, asserted on randomized fault
-  sets in the tests) at a fraction of the work.
+* **Table repair** — :func:`repair_route_table` refills a mutable
+  :class:`repro.core.tables.CompiledRouteTable` after site failures
+  with one blocked fill of every row through the array kernel, the same
+  fill :func:`compile_with_failures` runs, so the result is
+  **byte-identical** to a full compile on the surviving topology
+  (asserted on randomized fault sets in the tests).  Even one failed
+  site makes the full refill cheaper than finding and patching only the
+  rows it invalidates (E19).
 
-* **Self-healing tables** — :class:`SelfHealingRouteTable` keeps the
-  pristine healthy buffers alongside the working ones and re-syncs the
+* **Self-healing tables** — :class:`SelfHealingRouteTable` refills its
   working table whenever the failed set changes (fault *or* recovery),
-  restoring previously patched rows first so repeated churn never
-  accumulates drift.
+  so repeated churn never accumulates drift.
 
 The module is deliberately simulator-agnostic: the simulator only knows
 the ``detour(simulator, address, blocked_target, message)`` protocol.
@@ -38,15 +35,9 @@ the ``detour(simulator, address, blocked_target, message)`` protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.arraybfs import (
-    ACTION_AT_DESTINATION,
-    ACTION_UNREACHABLE,
-    fill_table_rows,
-    table_rows,
-)
+from repro.core.arraybfs import ACTION_UNREACHABLE, fill_table_rows
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import WordTuple
 from repro.exceptions import InvalidParameterError
@@ -57,13 +48,6 @@ from repro.network.router import vertex_path_to_steps
 #: Either representation of a failed site: a packed integer or a word
 #: tuple (normalised internally via the table's PackedSpace).
 FailedSite = Union[int, WordTuple]
-
-#: Rows re-BFS'd per kernel call during a repair.  Small, equal blocks
-#: keep the kernel's scratch small and reusable, so a long-lived node
-#: that repairs again on every verdict change does not grow its heap
-#: (at 256-row blocks a DG(2,9) survivor kept ~1 MB more after three
-#: repairs); the per-call cost is noise next to the row scan.
-_REPAIR_BLOCK_ROWS = 32
 
 
 def _normalize_failed(table: CompiledRouteTable,
@@ -84,8 +68,25 @@ def _normalize_failed(table: CompiledRouteTable,
 
 
 # ----------------------------------------------------------------------
-# Full recompile on the surviving topology (the repair reference)
+# Repair: one blocked fill over every row
 # ----------------------------------------------------------------------
+
+
+def repair_route_table(table: CompiledRouteTable,
+                       failed: Iterable[FailedSite]) -> None:
+    """Refill ``table`` in place so it routes around ``failed`` sites.
+
+    ``table`` must hold mutable buffers (``thaw()`` a compiled or loaded
+    table).  Every row is refilled by one blocked BFS fill, so the result
+    is byte-identical to :func:`compile_with_failures` on the same fault
+    set whatever fault set the table encoded before.
+    """
+    if not table.mutable:
+        raise InvalidParameterError(
+            "repair needs mutable table buffers; call table.thaw() first")
+    blocked = _normalize_failed(table, failed)
+    fill_table_rows(table.d, table.k, range(table.order), table.directed,
+                    table.distances, table.actions, blocked)
 
 
 def compile_with_failures(
@@ -98,211 +99,45 @@ def compile_with_failures(
 
     Semantics: failed vertices are removed from the graph entirely —
     their rows (as destinations) and cells (as sources) read ``0xFF``
-    unreachable, and no surviving route traverses them.  This full
-    compile is the ground truth :func:`repair_route_table` is asserted
-    byte-identical against; production code should repair incrementally
-    instead of calling this.
+    unreachable, and no surviving route traverses them.  This is the
+    ground truth the cluster's repaired tables are checked against.
     """
     n = d**k
     table = CompiledRouteTable(d, k, directed, bytearray(n * n),
                                bytearray(n * n))
-    blocked = _normalize_failed(table, failed)
-    fill_table_rows(d, k, range(n), directed, table.distances,
-                    table.actions, blocked)
+    repair_route_table(table, failed)
     return table
-
-
-# ----------------------------------------------------------------------
-# Incremental in-place repair
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RepairReport:
-    """What one :func:`repair_route_table` pass actually did."""
-
-    failed_sites: int = 0
-    rows_scanned: int = 0
-    #: Rows fully re-BFS'd because a surviving source routed through a
-    #: failed site.
-    rows_repaired: int = 0
-    #: Rows where only the failed-source cells needed clearing (the
-    #: failed sites were leaves of the row's shortest-path tree).
-    rows_patched: int = 0
-    #: Rows left completely untouched.
-    rows_untouched: int = 0
-    #: Row indices (packed destinations) whose bytes changed.
-    touched_rows: List[int] = field(default_factory=list)
-
-    @property
-    def rows_rewritten(self) -> int:
-        return self.rows_repaired + self.rows_patched
-
-
-def repair_route_table(
-    table: CompiledRouteTable,
-    failed: Iterable[FailedSite],
-) -> RepairReport:
-    """Patch ``table`` in place so it routes around ``failed`` sites.
-
-    ``table`` must hold mutable buffers (``thaw()`` a compiled table or
-    ``load(..., writable=True)`` an mmap'd one) and must currently
-    describe the **intact** topology — repair is a healthy-to-failed
-    delta, not an arbitrary diff (use :class:`SelfHealingRouteTable`
-    for churn).  The repaired bytes are identical to
-    :func:`compile_with_failures` on the same fault set.
-
-    Per destination row the work is:
-
-    1. O(|F|) reachability pre-check — rows no failed site can reach
-       are provably untouched;
-    2. one early-exit O(N) scan over the action bytes: a surviving
-       source's route traverses a failed site iff *some* surviving
-       source's recorded next hop is a failed site (the first failed
-       node on any affected chain has a surviving tree-predecessor), so
-       one predecessor-of-a-failure sighting decides the row;
-    3. rows with a sighting get a blocked re-BFS (same kernel as the
-       compiler, so tie-breaking — and therefore every byte — matches
-       the full recompile), batched ``_REPAIR_BLOCK_ROWS`` rows at a
-       time; rows without keep their bytes except for the failed-source
-       cells, which are cleared.
-    """
-    if not table.mutable:
-        raise InvalidParameterError(
-            "repair needs mutable table buffers; call table.thaw() or "
-            "load(..., writable=True) first"
-        )
-    blocked = _normalize_failed(table, failed)
-    report = RepairReport(failed_sites=len(blocked))
-    if not blocked:
-        return report
-    n = table.order
-    d = table.d
-    k = table.k
-    directed = table.directed
-    actions = table.actions
-    distances = table.distances
-    space = table.space
-    unreachable_row = bytes([ACTION_UNREACHABLE]) * n
-    rebfs: List[int] = []
-    blocked_list = list(blocked)
-    blocked_mask = bytearray(n)
-    for f in blocked_list:
-        blocked_mask[f] = 1
-    apply_action = space.apply_action
-
-    for y in range(n):
-        report.rows_scanned += 1
-        base = y * n
-        if y in blocked:
-            # A dead destination: everything about this row is gone.
-            if bytes(actions[base:base + n]) != unreachable_row or \
-                    bytes(distances[base:base + n]) != unreachable_row:
-                actions[base:base + n] = unreachable_row
-                distances[base:base + n] = unreachable_row
-                report.rows_repaired += 1
-                report.touched_rows.append(y)
-            else:  # pragma: no cover - already-unreachable row
-                report.rows_untouched += 1
-            continue
-
-        if all(distances[base + f] == ACTION_UNREACHABLE
-               for f in blocked_list):
-            # No failed site reaches y at all; nothing in this row can
-            # route through one.
-            report.rows_untouched += 1
-            continue
-
-        # Early-exit scan: does any *surviving* source hop straight into
-        # a failed site?  If a survivor's route traverses a failure at
-        # all, the chain's first failed node has a surviving
-        # predecessor whose action byte points at it — so one sighting
-        # decides the row, usually within a few cells.
-        needs_rebfs = False
-        for x in range(n):
-            if blocked_mask[x]:
-                continue
-            a = actions[base + x]
-            if a >= ACTION_AT_DESTINATION:
-                continue
-            if blocked_mask[apply_action(x, a)]:
-                needs_rebfs = True
-                break
-
-        if not needs_rebfs:
-            # The failed sites are leaves of this row's tree: clearing
-            # their own cells is the entire repair.
-            changed = False
-            for f in blocked_list:
-                if actions[base + f] != ACTION_UNREACHABLE or \
-                        distances[base + f] != ACTION_UNREACHABLE:
-                    actions[base + f] = ACTION_UNREACHABLE
-                    distances[base + f] = ACTION_UNREACHABLE
-                    changed = True
-            if changed:
-                report.rows_patched += 1
-                report.touched_rows.append(y)
-            else:  # pragma: no cover - pre-check makes this rare
-                report.rows_untouched += 1
-            continue
-
-        rebfs.append(y)
-        report.rows_repaired += 1
-        report.touched_rows.append(y)
-
-    for i in range(0, len(rebfs), _REPAIR_BLOCK_ROWS):
-        rows = rebfs[i:i + _REPAIR_BLOCK_ROWS]
-        dist, act = table_rows(d, k, rows, directed, blocked)
-        for j, y in enumerate(rows):
-            distances[y * n:(y + 1) * n] = dist[j * n:(j + 1) * n]
-            actions[y * n:(y + 1) * n] = act[j * n:(j + 1) * n]
-    return report
 
 
 class SelfHealingRouteTable:
     """A mutable route table that tracks a changing failed set.
 
-    Keeps the pristine healthy bytes alongside the working buffers; on
-    every :meth:`sync` the rows touched by the previous repair are
-    restored from pristine first, then :func:`repair_route_table` runs
-    against the new failed set.  In-flight messages holding a reference
-    to :attr:`table` see the patched action bytes immediately — the
-    "self-healing" the chaos campaign's ``repair`` strategy measures.
+    Every :meth:`sync` to a new failed set refills the whole table with
+    :func:`repair_route_table`, so a fault, a recovery or any churn in
+    between lands on the same bytes a fresh :func:`compile_with_failures`
+    would hold.  In-flight messages holding a reference to :attr:`table`
+    see the new action bytes immediately — the "self-healing" the chaos
+    campaign's ``repair`` strategy measures.
     """
 
     def __init__(self, table: CompiledRouteTable) -> None:
         if not table.mutable:
             table = table.thaw()
         self.table = table
-        self._pristine_actions = bytes(table.actions)
-        self._pristine_distances = bytes(table.distances)
-        self._dirty_rows: List[int] = []
         self.failed: FrozenSet[int] = frozenset()
-        #: Cumulative accounting across syncs.
+        #: Syncs that refilled the table.
         self.repairs = 0
-        self.rows_repaired = 0
-        self.rows_patched = 0
 
-    def sync(self, failed: Iterable[FailedSite]) -> Optional[RepairReport]:
-        """Bring the working table in line with ``failed``; None if no-op."""
+    def sync(self, failed: Iterable[FailedSite]
+             ) -> Optional[CompiledRouteTable]:
+        """Refill the table for ``failed``; None if it already encodes it."""
         target = _normalize_failed(self.table, failed)
         if target == self.failed:
             return None
-        n = self.table.order
-        actions = self.table.actions
-        distances = self.table.distances
-        for row in self._dirty_rows:
-            base = row * n
-            actions[base:base + n] = self._pristine_actions[base:base + n]
-            distances[base:base + n] = self._pristine_distances[base:base + n]
-        self._dirty_rows = []
+        repair_route_table(self.table, target)
         self.failed = target
-        report = repair_route_table(self.table, target)
-        self._dirty_rows = list(report.touched_rows)
         self.repairs += 1
-        self.rows_repaired += report.rows_repaired
-        self.rows_patched += report.rows_patched
-        return report
+        return self.table
 
 
 # ----------------------------------------------------------------------

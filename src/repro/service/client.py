@@ -333,17 +333,24 @@ class RouteServiceClient:
             connection.decoder,
         )
         while answered < len(shard):
+            frames = []
             while cursor < len(shard) and len(in_flight) < window:
                 index = shard[cursor]
                 cursor += 1
                 request_id = connection.take_id()
                 in_flight[request_id] = index
                 source, destination = pairs[index]
-                writer.write(
+                frames.append(
                     encode_query(
                         request_id, d, source, destination, directed, want_path
                     )
                 )
+            if frames:
+                # One write per refill of the window, and never into a
+                # transport the peer has reset: the caller retries.
+                if writer.is_closing():
+                    raise ConnectionResetError("connection closed mid-burst")
+                writer.write(b"".join(frames))
             await writer.drain()
             for frame in await self._read_frames(reader, decoder):
                 index = in_flight.pop(frame.request_id, None)

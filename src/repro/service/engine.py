@@ -283,6 +283,7 @@ class EngineSpec:
         if self.table_path is not None:
             table = CompiledRouteTable.load(self.table_path)
             if (table.d, table.k) != (self.d, self.k):
+                table.close()
                 raise ServiceError(
                     f"{self.table_path} holds DG({table.d},{table.k}), "
                     f"spec wants DG({self.d},{self.k})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import logging
 import random
 import threading
 import time
@@ -167,6 +168,32 @@ def test_proxy_reset_fault_robust_client_survives():
         return True
 
     assert run(scenario())
+
+
+def test_reset_burst_never_writes_into_a_reset_transport(caplog):
+    """A window's frames go out in one write, and never after the peer
+    has reset the connection: asyncio logs each write into a lost
+    transport past the fifth as 'socket.send() raised exception.'."""
+    async def scenario():
+        async with RouteQueryServer(RouteQueryEngine(2, 6)) as server:
+            async with ChaosProxy(
+                "127.0.0.1", server.port,
+                FaultPlan(seed="reset-log", reset_rate=1.0),
+            ) as proxy:
+                policy = RetryPolicy(retries=50, deadline=60.0,
+                                     seed="t-reset-log")
+                async with RobustRouteClient(
+                    "127.0.0.1", proxy.port, d=2, policy=policy,
+                ) as client:
+                    outcome = await client.query_many(
+                        _pairs(2, 6, 2000, 3), want_path=False, window=64)
+                assert outcome.lost_count == 0
+        return True
+
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        assert run(scenario())
+    assert not [record for record in caplog.records
+                if "socket.send() raised exception" in record.getMessage()]
 
 
 def test_proxy_reset_fault_kills_naive_client():

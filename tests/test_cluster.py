@@ -17,7 +17,8 @@ import time
 import pytest
 
 from repro.cluster.harness import ClusterHarness, ClusterSpec, run_kill_drill
-from repro.cluster.node import ClusterNodeSpec, ClusterQueryEngine, table_digest
+from repro.cluster.node import (ClusterNodeSpec, ClusterQueryEngine,
+                                _ClusterNode, table_digest)
 from repro.core.arraybfs import ACTION_UNREACHABLE
 from repro.core.packed import PackedSpace
 from repro.core.routing import path_words
@@ -146,6 +147,63 @@ def test_cluster_engine_detours_around_dead_sites():
                                 True))
     truth.close()
     table.close()
+
+
+# ----------------------------------------------------------------------
+# Repair in the node's event loop (no processes: fire the verdict)
+# ----------------------------------------------------------------------
+
+
+def test_repair_keeps_the_event_loop_answering(tmp_path):
+    """A DG(2,11) repair takes about 0.5 s of CPU.  The node fills the
+    fresh table in bounded steps, so a 5 ms ticker on the same loop never
+    waits 0.1 s, and the table it swaps in is the fresh compile."""
+    d, k, nodes, victim = 2, 11, 4, 3
+    cluster = ClusterSpec(d=d, k=k, nodes=nodes)
+    path = str(tmp_path / "dg.routes")
+    pristine = compile_with_failures(d, k)
+    pristine.save(path)
+    spec = ClusterNodeSpec(
+        node_id=0, n_nodes=nodes, d=d, k=k, directed=False, table_path=path,
+        site_ranges=cluster.site_ranges(),
+        swim_peers=tuple((HOST, 0) for _ in range(nodes)))
+    failed = spec.failed_sites(frozenset({victim}))
+    want = table_digest(compile_with_failures(d, k, failed=failed))
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        node = _ClusterNode(spec)
+        assert (node.registry.snapshot()["counters"]["cluster.table_digest"]
+                == table_digest(pristine))
+        gaps = []
+        repaired = asyncio.Event()
+
+        async def ticker():
+            last = loop.time()
+            while not repaired.is_set():
+                await asyncio.sleep(0.005)
+                now = loop.time()
+                gaps.append(now - last)
+                last = now
+
+        ticking = loop.create_task(ticker())
+        await asyncio.sleep(0.02)
+        node._on_dead_change(frozenset({victim}))
+        assert node.engine.dead_packed == frozenset(failed)
+        await node._repair_task
+        repaired.set()
+        await ticking
+        counters = node.registry.snapshot()["counters"]
+        served = node.engine.table
+        node.table.close()
+        return max(gaps), counters, served is node.table, node.engine
+
+    worst_gap, counters, swapped_whole, engine = run(scenario())
+    assert worst_gap < 0.1, f"the repair held the loop {worst_gap:.3f}s"
+    assert counters["cluster.table_digest"] == want
+    assert counters["cluster.unrepaired"] == 0
+    assert counters["cluster.repairs"] == 1
+    assert swapped_whole and engine.dead_packed == frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -408,3 +466,29 @@ def test_double_fault_convicts_both_nodes(tmp_path):
         outcome, _ = run_robust_burst(HOST, harness.tcp_ports[0], pairs,
                                       d=2, window=16)
         assert outcome.ok_count == len(pairs)
+
+
+def test_dg211_drills_repair_without_silencing_a_survivor(tmp_path):
+    """DG(2,11) with E25's timers: three kill drills, one victim each.
+    A repair there costs each survivor about 0.5 s of CPU; filled in
+    bounded steps it lets every survivor convict within the bound, and no
+    survivor is suspected (its incarnation stays put) while it repairs."""
+    spec = ClusterSpec(d=2, k=11, nodes=4, **FAST)
+    for victim in (3, 0, 2):
+        report = run_kill_drill(spec, str(tmp_path / f"victim{victim}"),
+                                victim=victim, queries=600, burst_window=32)
+        survivors = set(range(spec.nodes)) - {victim}
+        bound = report["detection_bound_s"]
+        assert set(report["detection_s"]) == survivors
+        assert all(0 < latency <= bound
+                   for latency in report["detection_s"].values())
+        assert all(before == after for before, after
+                   in report["incarnation"].values()), report["incarnation"]
+        assert report["dead_mask"] == {node: 1 << victim
+                                       for node in survivors}
+        digest = report["table_digest"]
+        assert set(digest["survivors"]) == survivors
+        assert all(value == digest["expected"]
+                   for value in digest["survivors"].values())
+        assert report["fault_burst"]["lost"] == 0
+        assert report["healed"]["ok"] == report["healed"]["queries"]

@@ -1,4 +1,4 @@
-"""Tests for local detours, incremental repair, and self-healing tables."""
+"""Tests for local detours, table repair, and self-healing tables."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core.arraybfs import reference_table_rows
 from repro.core.routing import path_words
 from repro.core.tables import CompiledRouteTable
 from repro.exceptions import InvalidParameterError
@@ -26,7 +27,7 @@ def _bytes_of(table):
 
 
 # ----------------------------------------------------------------------
-# Incremental repair: byte identity against the full recompile
+# Repair: byte identity against the full recompile and the python oracle
 # ----------------------------------------------------------------------
 
 
@@ -38,13 +39,25 @@ def test_repair_is_byte_identical_to_full_recompile(d, k, directed):
     for _ in range(8):
         failed = rng.sample(range(n), rng.randint(1, max(1, n // 6)))
         patched = table.thaw()
-        report = repair_route_table(patched, failed)
+        repair_route_table(patched, failed)
         reference = compile_with_failures(d, k, directed, failed)
         assert _bytes_of(patched) == _bytes_of(reference)
-        assert report.rows_scanned == n
-        assert (report.rows_repaired + report.rows_patched
-                + report.rows_untouched) == n
-        assert sorted(report.touched_rows) == sorted(set(report.touched_rows))
+        oracle_dist, oracle_act = reference_table_rows(
+            d, k, range(n), directed, blocked=failed)
+        assert _bytes_of(patched) == (bytes(oracle_act), bytes(oracle_dist))
+
+
+@pytest.mark.parametrize("d,k,directed", CONFIGS)
+def test_repair_moves_a_repaired_table_to_another_fault_set(d, k, directed):
+    n = d**k
+    rng = random.Random(f"re-repair:{d}:{k}:{directed}")
+    first = rng.sample(range(n), max(1, n // 6))
+    for second in ([], rng.sample(range(n), 1),
+                   rng.sample(range(n), max(1, n // 4)), first[:1]):
+        table = compile_with_failures(d, k, directed, first)
+        repair_route_table(table, second)
+        reference = compile_with_failures(d, k, directed, second)
+        assert _bytes_of(table) == _bytes_of(reference)
 
 
 def test_repair_with_word_tuple_failures():
@@ -59,9 +72,8 @@ def test_repair_with_word_tuple_failures():
 def test_repair_of_empty_failed_set_is_a_noop():
     table = CompiledRouteTable.compile(2, 4, workers=1).thaw()
     before = _bytes_of(table)
-    report = repair_route_table(table, [])
+    repair_route_table(table, [])
     assert _bytes_of(table) == before
-    assert report.rows_scanned == 0
 
 
 def test_repair_refuses_immutable_buffers():
@@ -94,7 +106,7 @@ def test_failed_destination_row_reads_unreachable():
 
 
 # ----------------------------------------------------------------------
-# thaw / writable load
+# thaw
 # ----------------------------------------------------------------------
 
 
@@ -105,29 +117,6 @@ def test_thaw_copies_and_decouples():
     assert _bytes_of(table) == _bytes_of(thawed)
     thawed.actions[0] = 0xFF
     assert table.actions[0] != 0xFF or _bytes_of(table) != _bytes_of(thawed)
-
-
-def test_writable_mmap_load_patches_in_place_without_touching_file(tmp_path):
-    path = str(tmp_path / "dg.routes")
-    table = CompiledRouteTable.compile(2, 4, workers=1)
-    table.save(path)
-    working = CompiledRouteTable.load(path, writable=True)
-    assert working.mutable
-    repair_route_table(working, [3, 7])
-    reference = compile_with_failures(2, 4, failed=[3, 7])
-    assert _bytes_of(working) == _bytes_of(reference)
-    working.close()
-    # ACCESS_COPY: the file on disk is still the pristine table.
-    pristine = CompiledRouteTable.load(path, use_mmap=False)
-    assert _bytes_of(pristine) == _bytes_of(table)
-
-
-def test_writable_non_mmap_load_is_mutable(tmp_path):
-    path = str(tmp_path / "dg.routes")
-    CompiledRouteTable.compile(2, 3, workers=1).save(path)
-    working = CompiledRouteTable.load(path, use_mmap=False, writable=True)
-    assert working.mutable
-    repair_route_table(working, [1])
 
 
 # ----------------------------------------------------------------------

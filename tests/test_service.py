@@ -516,6 +516,31 @@ def test_server_drains_cleanly_mid_burst():
     assert run(scenario())
 
 
+def test_client_joins_each_window_into_one_write():
+    """256 queries with window=64 over one pooled connection: each window
+    leaves in one write, so the first alone joins 64 frames."""
+
+    async def scenario():
+        async with RouteQueryServer(RouteQueryEngine(2, 6)) as server:
+            async with RouteServiceClient("127.0.0.1", server.port, d=2,
+                                          pool_size=1) as client:
+                connection = await client._connection(0)
+                writes = []
+                write = connection.writer.write
+
+                def counting_write(data):
+                    writes.append(len(data))
+                    write(data)
+
+                connection.writer.write = counting_write
+                outcome = await client.query_many(
+                    _pairs(2, 6, 256, seed=16), want_path=False, window=64)
+        assert outcome.ok_count == 256
+        return len(writes)
+
+    assert run(scenario()) < 256
+
+
 def test_pipelined_burst_is_answered_once_in_fewer_writes():
     """One sendall mixing table, micro-batched, malformed and wrong-graph
     queries: every request id gets exactly one frame of the right kind,

@@ -52,6 +52,7 @@ def test_engine_spec_builds_each_tier(tmp_path):
     loaded = build_engine(EngineSpec(2, 5, table_path=path))
     assert loaded.table is not None
     assert isinstance(loaded, RouteQueryEngine)
+    loaded.table.close()
 
     sharded = EngineSpec(2, 5, shards=True,
                          shard_dir=str(tmp_path / "shards")).build()
@@ -60,6 +61,29 @@ def test_engine_spec_builds_each_tier(tmp_path):
 
     with pytest.raises(ServiceError):
         EngineSpec(2, 9, table_path=path).build()  # wrong k on disk
+
+
+def test_engine_spec_closes_a_table_of_the_wrong_graph(tmp_path):
+    from repro.core.tables import CompiledRouteTable
+
+    path = str(tmp_path / "dg24.routes")
+    CompiledRouteTable.compile(2, 4, workers=1).save(path)
+
+    def held():
+        """Open fds and mappings of the table file, from /proc."""
+        fds = [os.readlink(f"/proc/self/fd/{fd}")
+               for fd in os.listdir("/proc/self/fd")
+               if os.path.exists(f"/proc/self/fd/{fd}")]
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            mapped = [line for line in maps if line.rstrip().endswith(path)]
+        return [fd for fd in fds if fd == path] + mapped
+
+    with pytest.raises(ServiceError, match=r"DG\(2,4\)") as excinfo:
+        EngineSpec(2, 5, table_path=path).build()
+    # The traceback keeps build()'s frame, and the table in it, alive: the
+    # table must already be closed, not left to the garbage collector.
+    assert excinfo.tb is not None
+    assert held() == []
 
 
 def test_supervisor_rejects_bad_config():
