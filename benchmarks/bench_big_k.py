@@ -16,7 +16,10 @@ stops at DG(2,12)":
    budgets, over a zipf-ish workload whose hot set spans more groups
    than the smallest budget can hold.  Shows the knee: when the budget
    covers the working set qps is table-speed; below it, LRU churn pays
-   a shard recompile per eviction.
+   a shard recompile per eviction.  The same pairs are also answered by
+   a :class:`~repro.service.engine.RouteQueryEngine` with no table and
+   no shards (the diagonal-scan planner tier), reported beside the
+   budget rows with no bar: the data for keeping or retiring the tier.
 
 Results append to ``BENCH_big_k.json`` at the repo root in the
 :mod:`repro.benchio` envelope.  ``test_big_k_smoke`` runs the same
@@ -34,9 +37,11 @@ from typing import Dict, List, Tuple
 from repro.analysis.tables import format_kv_block, format_table
 from repro.benchio import append_record
 from repro.core.arraybfs import reference_table_rows
+from repro.core.packed import PackedSpace
 from repro.core.parallel import compile_table_buffers
 from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
+from repro.service.engine import RouteQueryEngine
 
 #: The kernel-speedup graph: the biggest the python reference can still
 #: compile in benchmark-friendly time (~10 s serial).
@@ -135,6 +140,20 @@ def _measure_serving(d: int, k: int, budgets_mb: Tuple[int, ...],
     return rows
 
 
+def _measure_planner(d: int, k: int, rows_per_shard: int = 4,
+                     queries: int = 4000, seed: int = 0xE22) -> Dict[str, float]:
+    """The serving pairs through the engine's planner tier alone."""
+    space = PackedSpace(d, k)
+    pairs = [(space.unpack(source), space.unpack(dest)) for source, dest
+             in _serving_workload(d, k, rows_per_shard, queries, seed)]
+    engine = RouteQueryEngine(d, k)
+    start = time.perf_counter()
+    for source, dest in pairs:
+        engine.resolve(source, dest, False, want_path=False)
+    elapsed = time.perf_counter() - start
+    return {"qps": queries / elapsed, "seconds": elapsed}
+
+
 def test_big_k(benchmark, report):
     """The full E22 measurement; writes BENCH_big_k.json."""
     d, k = KERNEL_GRAPH
@@ -147,6 +166,7 @@ def test_big_k(benchmark, report):
                           "n": SERVE_GRAPH[0]**SERVE_GRAPH[1]},
                 "hot_groups": HOT_GROUPS,
                 "budgets": _measure_serving(*SERVE_GRAPH, BUDGET_SWEEP_MB),
+                "planner_only": _measure_planner(*SERVE_GRAPH),
             },
         }
         return record
@@ -168,7 +188,9 @@ def test_big_k(benchmark, report):
            + format_table(
                ["budget MiB", "qps", "hit rate", "compiled", "evictions"],
                [[r["budget_mb"], r["qps"], r["hit_rate"], r["compiled"],
-                 r["evictions"]] for r in serve["budgets"]], precision=2))
+                 r["evictions"]] for r in serve["budgets"]], precision=2)
+           + f"\nplanner only (no table, no shards): "
+           f"{serve['planner_only']['qps']:.0f} qps")
 
     # Acceptance (ISSUE 6): >= 5x single-core, byte-identical.
     assert kern["speedup"] >= KERNEL_SPEEDUP_MIN, (

@@ -111,6 +111,7 @@ def test_cluster_kill_drill_smoke(benchmark, report, tmp_path):
     assert max(detections) <= bound
     assert recovery["convict_s"] <= bound
     assert phases["fault"][0] > 0  # traffic really crossed the fault
+    assert phases["healed"][0] > 0  # and kept flowing after the repair
 
     detections.sort()
     record = {

@@ -43,6 +43,7 @@ from repro.core.batch import distances_row
 from repro.core.distance import (
     AUTO_METHOD_CUTOVER,
     undirected_witness_matching,
+    undirected_witness_scan,
     undirected_witness_suffix_tree,
 )
 from repro.core.packed import PackedSpace
@@ -182,7 +183,11 @@ def _measure_bfs_rows(d: int, k: int, sources: int = 8) -> Dict[str, float]:
 
 def _measure_crossover(ks=(8, 10, 12, 14, 16, 20), pairs_per_k: int = 300,
                        repetitions: int = 3) -> Dict[str, object]:
-    """The AUTO_METHOD_CUTOVER measurement: last k where matching wins."""
+    """The AUTO_METHOD_CUTOVER measurement: last k where matching wins.
+
+    The diagonal scan is timed on the same pairs and reported beside the
+    two paper algorithms; it takes no part in the cutover.
+    """
     rng = random.Random(0xC05)
     sweep: List[Dict[str, float]] = []
     cutover = 0
@@ -191,7 +196,8 @@ def _measure_crossover(ks=(8, 10, 12, 14, 16, 20), pairs_per_k: int = 300,
                  for _ in range(pairs_per_k)]
         timings = {}
         for label, fn in (("matching", undirected_witness_matching),
-                          ("suffix_tree", undirected_witness_suffix_tree)):
+                          ("suffix_tree", undirected_witness_suffix_tree),
+                          ("scan", undirected_witness_scan)):
             best = float("inf")
             for _ in range(repetitions):
                 start = time.perf_counter()
@@ -202,6 +208,7 @@ def _measure_crossover(ks=(8, 10, 12, 14, 16, 20), pairs_per_k: int = 300,
         ratio = timings["matching"] / timings["suffix_tree"]
         sweep.append({"k": k, "matching_us": timings["matching"] * 1e6,
                       "suffix_tree_us": timings["suffix_tree"] * 1e6,
+                      "scan_us": timings["scan"] * 1e6,
                       "ratio": ratio})
     for entry in sweep:  # first crossing: last k before matching loses
         if entry["ratio"] <= 1.0:
@@ -252,8 +259,9 @@ def test_routing_throughput(benchmark, report):
     cross = record["crossover"]
     report("E17 — matching vs suffix-tree crossover (AUTO_METHOD_CUTOVER)\n"
            + format_table(
-               ["k", "matching us", "suffix us", "ratio"],
-               [[r["k"], r["matching_us"], r["suffix_tree_us"], r["ratio"]]
+               ["k", "matching us", "suffix us", "scan us", "ratio"],
+               [[r["k"], r["matching_us"], r["suffix_tree_us"], r["scan_us"],
+                 r["ratio"]]
                 for r in cross["sweep"]], precision=2)
            + f"\nmeasured cutover: k = {cross['measured_cutover']}"
            + f" (distance.AUTO_METHOD_CUTOVER = {AUTO_METHOD_CUTOVER})")

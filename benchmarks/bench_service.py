@@ -246,7 +246,7 @@ def test_service(benchmark, report, tmp_path):
         record["table_compile_seconds"] = time.perf_counter() - start
         pairs = _pairs(d, k, N_QUERIES, SEED)
         record["planner_uncached"] = _measure_tier(
-            RouteQueryEngine(d, k, cache_size=0), d, pairs)
+            RouteQueryEngine(d, k), d, pairs)
         record["table"] = _measure_tier(
             RouteQueryEngine(d, k, table=table), d, pairs)
         record["table_speedup"] = (record["table"]["qps"]
@@ -348,7 +348,7 @@ def test_service_smoke():
     table = _compile_table(d, k)
     pairs = _pairs(d, k, 300, SEED)
 
-    for engine in (RouteQueryEngine(d, k, cache_size=0),
+    for engine in (RouteQueryEngine(d, k),
                    RouteQueryEngine(d, k, table=table)):
         live = _LiveServer(engine)
         try:

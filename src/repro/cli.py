@@ -341,9 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shard-threshold", type=int, default=1,
                          help="queries a cold destination group needs before "
                               "its shard compile is scheduled")
-    p_serve.add_argument("--cache-size", type=int, default=4096,
-                         help="RouteCache entries for the planner tier "
-                              "(0 disables caching)")
     p_serve.add_argument("--max-pending", type=int, default=1024,
                          help="admission-queue bound; beyond it queries get "
                               "explicit OVERLOADED replies")
@@ -1084,7 +1081,6 @@ def _serve_spec(args: argparse.Namespace):
         shard_rows=args.shard_rows,
         shard_dir=shard_dir,
         shard_threshold=args.shard_threshold,
-        cache_size=args.cache_size,
     )
     return spec, cleanup
 
@@ -1614,6 +1610,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 problems.append(f"{burst['lost']} queries lost")
             if burst["per_phase"]["fault"]["queries"] == 0:
                 problems.append("no queries crossed the fault window")
+            if burst["per_phase"]["healed"]["queries"] == 0:
+                problems.append("no queries after the repair")
             if len(detect) != spec.nodes - 1:
                 problems.append(
                     f"verdicts from {len(detect)} of {spec.nodes - 1} "

@@ -564,11 +564,12 @@ def run_kill_drill(
         # Phase 1: a continuous burst *through* the kill.  One
         # RobustRouteClient dials the victim first (failover must carry
         # it to the survivors) and keeps chunks of queries in flight
-        # until every survivor has repaired — so the fault, the detour
-        # window, and the repair all happen under live traffic, and the
-        # zero-loss claim is about queries that actually crossed them.
+        # until a chunk that started after the last survivor's repair
+        # has completed — so the fault, the detour window, the repair and
+        # the healed cluster all see live traffic, and the zero-loss
+        # claim is about queries that actually crossed them.
         fallbacks = [(host, harness.tcp_ports[n]) for n in survivors]
-        stop_flag = threading.Event()
+        healed_from: List[float] = []  # the last repair stamp, once seen
         chunks: List[Dict[str, float]] = []
         burst_result: Dict[str, object] = {}
         chunk_size = max(burst_window, 256)
@@ -583,7 +584,9 @@ def run_kill_drill(
                 ) as client:
                     index = 0
                     asked = 0
-                    while not stop_flag.is_set() or asked < queries:
+                    while asked < queries or not (
+                            healed_from and chunks
+                            and chunks[-1]["start"] >= healed_from[0]):
                         chunk = [pairs[(index + j) % len(pairs)]
                                  for j in range(chunk_size)]
                         index += chunk_size
@@ -623,6 +626,8 @@ def run_kill_drill(
                 f"detection took {worst:.2f}s, bound is {bound:.2f}s")
 
         repaired = harness.wait_repaired([victim])
+        last_repair = max(repaired.values())
+        healed_from.append(last_repair)
         repair_latency = {node: stamp - kill_stamp
                           for node, stamp in repaired.items()}
         want_digest = harness.expected_digest([victim])
@@ -642,7 +647,6 @@ def run_kill_drill(
                     f"node {node} repaired digest {digests[node]:#x} != "
                     f"fresh compile {want_digest:#x}")
 
-        stop_flag.set()
         burst_thread.join(timeout=180.0)
         if burst_thread.is_alive():
             raise SimulationError("drill burst did not finish")
@@ -655,7 +659,6 @@ def run_kill_drill(
                 f"{lost} of {total} queries lost through the kill")
         spanned = sum(1 for c in chunks
                       if c["start"] <= kill_stamp <= c["end"])
-        last_repair = max(repaired.values())
         phases = {"before": [0, 0], "fault": [0, 0], "healed": [0, 0]}
         for c in chunks:
             if c["end"] <= kill_stamp:
@@ -666,6 +669,9 @@ def run_kill_drill(
                 bucket = phases["fault"]
             bucket[0] += int(c["queries"])
             bucket[1] += int(c["ok"])
+        if not phases["healed"][0]:
+            raise SimulationError(
+                "no query of the fault burst started after the repair")
         report["fault_burst"] = {
             "queries": total,
             "ok": total_ok,

@@ -38,11 +38,12 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.arraybfs import (ACTION_AT_DESTINATION, ACTION_UNREACHABLE,
                                  fill_table_rows)
+from repro.core.routing import action_steps
 from repro.core.tables import CompiledRouteTable
 from repro.exceptions import RoutingError
 from repro.network.membership import SwimConfig
 from repro.network.resilience import LocalDetourPolicy
-from repro.service.engine import _STEP_OF_ACTION, RouteQueryEngine
+from repro.service.engine import RouteQueryEngine
 from repro.service.metrics import MetricsRegistry
 from repro.service.server import RouteQueryServer, ServerConfig
 
@@ -212,7 +213,7 @@ class ClusterQueryEngine(RouteQueryEngine):
             self.registry.inc("cluster.detour_hops", detours)
         if not want_path:
             return len(steps), None
-        step_of = _STEP_OF_ACTION[table.d]
+        step_of = action_steps(table.d)
         return len(steps), [step_of[action] for action in steps]
 
 

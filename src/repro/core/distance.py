@@ -14,10 +14,14 @@ Undirected graph (Theorem 2 / Corollary 4)
     ``D(X, Y) = min(k, min_{(a,b,s)} (2k − 2s − |a − b|))``
 
     — see DESIGN.md Section 2 for the derivation and the exhaustive BFS
-    cross-check.  Three implementations are provided: an O(k³)
-    definition-level reference, the paper's O(k²) matching-function route
-    (Algorithm 2's core) and the O(k) suffix-tree route (Algorithm 4's
-    role).
+    cross-check.  Grouped by diagonal ``δ = a − b`` it is
+    ``min(k, min_δ (2k − 2·s(δ) − |δ|))``, where ``s(δ)`` is the longest
+    run of equal digits pairing ``x_a`` with ``y_{a−δ}``.  Four
+    implementations are provided: an O(k³) definition-level reference,
+    the paper's O(k²) matching-function route (Algorithm 2's core), the
+    O(k) suffix-tree route (Algorithm 4's role) and a word-parallel scan
+    of the diagonals (the serving path's evaluation; Algorithms 2 and 4
+    are its oracles).
 
 All functions accept plain digit tuples (see :mod:`repro.core.word`); none
 of them need the alphabet size ``d`` — the distances depend only on the
@@ -58,7 +62,7 @@ AUTO_METHOD_CUTOVER = 14
 #: when it is itself the thing under test.
 BRUTE_CHECKS_WITNESS = False
 
-Method = Literal["auto", "suffix_tree", "matching", "brute"]
+Method = Literal["auto", "suffix_tree", "matching", "scan", "brute"]
 
 Case = Literal["l", "r", "trivial"]
 
@@ -164,6 +168,80 @@ def undirected_witness_suffix_tree(x: WordTuple, y: WordTuple) -> UndirectedWitn
     return _pick_witness(best_l, best_r, k)
 
 
+def undirected_witness_scan(x: WordTuple, y: WordTuple) -> UndirectedWitness:
+    """Theorem 2 as a word-parallel scan of the 2k − 1 diagonals.
+
+    Both words are packed into ints, ``width`` bits per digit, head digit
+    most significant.  Diagonal ``δ = a − b`` is one shift and one XOR;
+    folding each digit's bits onto its lowest one marks the equal digits,
+    and ``e &= e >> width`` repeated until ``e`` is 0 takes ``s(δ)``
+    steps.  Diagonals are visited by increasing ``|δ|``: every one costs
+    at least ``|δ|``, and one is skipped when the run it needs to beat
+    the best so far is longer than its overlap.  The witness follows
+    the conventions of :func:`undirected_witness_suffix_tree`, so
+    :func:`repro.core.routing.path_from_witness` applies unchanged.
+    Plain ints: any ``d`` and any ``k``.
+    """
+    k = _common_length(x, y)
+    low = min(min(x), min(y))
+    if low < 0:
+        raise InvalidWordError(f"negative digit {low} in {x!r} or {y!r}")
+    width = max(1, max(max(x), max(y)).bit_length())
+    px = py = 0
+    for digit in x:
+        px = px << width | digit
+    for digit in y:
+        py = py << width | digit
+    # The lowest bit of every digit, and the shifts that OR a digit's
+    # bits onto it without reaching into the next digit.
+    ones = ((1 << (k * width)) - 1) // ((1 << width) - 1)
+    folds = []
+    span = 1
+    while span < width:
+        folds.append(min(span, width - span))
+        span += folds[-1]
+    best = k
+    found = None  # (δ, s, the last nonzero e)
+    for shift in range(k):
+        if shift >= best:
+            break
+        if (2 * k - shift - best) // 2 + 1 > k - shift:
+            continue
+        mask = ones >> (width * shift)
+        for delta in (-shift, shift) if shift else (0,):
+            if delta < 0:  # x_{b+δ} against y_b: aligned to y
+                diff = (px >> (width * shift)) ^ py
+            else:  # x_a against y_{a−δ}: aligned to x
+                diff = px ^ (py >> (width * shift))
+            for step in folds:
+                diff |= diff >> step
+            e = mask & ~diff
+            s = 0
+            while e:
+                last = e
+                e &= e >> width
+                s += 1
+            if s and 2 * k - 2 * s - shift < best:
+                best = 2 * k - 2 * s - shift
+                found = (delta, s, last)
+    if found is None:
+        return UndirectedWitness(k, "trivial")
+    delta, s, last = found
+    # The lowest set bit ends the run nearest the tail of the aligned word.
+    end = k - 1 - ((last & -last).bit_length() - 1) // width
+    if delta < 0:
+        b_start = end - s + 1
+        a_start = b_start + delta
+    else:
+        a_start = end - s + 1
+        b_start = a_start - delta
+    if delta <= 0:
+        # l-case: i = a+1, j = b+s (1-based), theta = s.
+        return UndirectedWitness(best, "l", a_start + 1, b_start + s, s)
+    # r-case: i = a+s, j = b+1 (1-based), theta = s.
+    return UndirectedWitness(best, "r", a_start + s, b_start + 1, s)
+
+
 def undirected_witness(x: WordTuple, y: WordTuple, method: Method = "auto") -> UndirectedWitness:
     """Dispatch to the requested (or size-appropriate) witness computation."""
     if method == "auto":
@@ -172,6 +250,8 @@ def undirected_witness(x: WordTuple, y: WordTuple, method: Method = "auto") -> U
         return undirected_witness_matching(x, y)
     if method == "suffix_tree":
         return undirected_witness_suffix_tree(x, y)
+    if method == "scan":
+        return undirected_witness_scan(x, y)
     if method == "brute":
         # The witness is computed once; the O(k^3) definitional distance
         # is only re-derived as a cross-check under the debug flag.

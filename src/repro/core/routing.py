@@ -14,15 +14,19 @@ Three generators are provided:
   Algorithm 2, O(k²) time / O(k) space.
 * :func:`shortest_path_undirected` with ``method="suffix_tree"`` —
   Algorithm 4's role, O(k) time and space.
+* :func:`shortest_path_undirected` with ``method="scan"`` — the
+  word-parallel diagonal scan the route service plans with.
 
 All generated paths are *shortest*: their length equals the corresponding
 distance function, a fact the test suite checks exhaustively against BFS on
-small graphs.
+small graphs.  Their steps are shared: a path holds references to the one
+frozen :class:`RoutingStep` of each (direction, digit).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -61,14 +65,32 @@ class RoutingStep:
         return self.digit is None
 
     def resolved(self, digit: int) -> "RoutingStep":
-        """A concrete copy of this step with the wildcard filled in."""
-        return RoutingStep(self.direction, digit)
+        """The concrete step of this direction with the wildcard filled in."""
+        return _STEPS[self.direction][digit]
 
     def __str__(self) -> str:
         symbol = "*" if self.digit is None else str(self.digit)
         arrow = "L" if self.direction == Direction.LEFT else "R"
         return f"{arrow}{symbol}"
 
+
+class _DigitSteps(dict):
+    """digit (``None`` for the wildcard) → the shared step of one direction."""
+
+    def __init__(self, direction: Direction) -> None:
+        super().__init__()
+        self.direction = direction
+
+    def __missing__(self, digit: Optional[int]) -> RoutingStep:
+        step = self[digit] = RoutingStep(self.direction, digit)
+        return step
+
+
+#: The one :class:`RoutingStep` of each (direction, digit), filled on first
+#: use.  Steps are frozen, so every path the builders below hand out holds
+#: references into this table rather than new objects.
+_STEPS = (_DigitSteps(Direction.LEFT), _DigitSteps(Direction.RIGHT))
+_LEFT, _RIGHT = _STEPS
 
 Path = List[RoutingStep]
 
@@ -92,7 +114,7 @@ def shortest_path_unidirectional(x: WordTuple, y: WordTuple) -> Path:
     if x == y:
         return []
     l = overlap_length(x, y)
-    return [RoutingStep(Direction.LEFT, digit) for digit in y[l:]]
+    return [_LEFT[digit] for digit in y[l:]]
 
 
 def shortest_path_undirected(
@@ -131,35 +153,29 @@ def path_from_witness(
     """Materialise Algorithm 2's lines 6-9 from a Theorem-2 witness."""
     k = len(y)
     arbitrary = None if use_wildcards else filler
-    steps: Path = []
     if witness.case == "trivial":
         # Line 6: the diameter path of k left shifts spelling Y.
-        return [RoutingStep(Direction.LEFT, digit) for digit in y]
+        return [_LEFT[digit] for digit in y]
+    i, j, theta = witness.i, witness.j, witness.theta
     if witness.case == "l":
         # Line 8, with (i, j, theta) = (s_1, t_1, θ_1), all 1-based:
         #   (s1-1) arbitrary left shifts, then right shifts spelling
         #   y_{t1-θ1} .. y_1, then (k-t1) arbitrary right shifts, then left
         #   shifts spelling y_{t1+1} .. y_k.
-        i, j, theta = witness.i, witness.j, witness.theta
-        steps.extend(RoutingStep(Direction.LEFT, arbitrary) for _ in range(i - 1))
-        for m in range(j - theta, 0, -1):  # digits y_m, 1-based, descending
-            steps.append(RoutingStep(Direction.RIGHT, y[m - 1]))
-        steps.extend(RoutingStep(Direction.RIGHT, arbitrary) for _ in range(k - j))
-        for m in range(j + 1, k + 1):
-            steps.append(RoutingStep(Direction.LEFT, y[m - 1]))
+        steps = [_LEFT[arbitrary]] * (i - 1)
+        steps += [_RIGHT[digit] for digit in reversed(y[: j - theta])]
+        steps += [_RIGHT[arbitrary]] * (k - j)
+        steps += [_LEFT[digit] for digit in y[j:]]
         return steps
     if witness.case == "r":
         # Line 9, with (i, j, theta) = (s_2, t_2, θ_2), all 1-based:
         #   (k-s2) arbitrary right shifts, then left shifts spelling
         #   y_{t2+θ2} .. y_k, then (t2-1) arbitrary left shifts, then right
         #   shifts spelling y_{t2-1} .. y_1.
-        i, j, theta = witness.i, witness.j, witness.theta
-        steps.extend(RoutingStep(Direction.RIGHT, arbitrary) for _ in range(k - i))
-        for m in range(j + theta, k + 1):
-            steps.append(RoutingStep(Direction.LEFT, y[m - 1]))
-        steps.extend(RoutingStep(Direction.LEFT, arbitrary) for _ in range(j - 1))
-        for m in range(j - 1, 0, -1):
-            steps.append(RoutingStep(Direction.RIGHT, y[m - 1]))
+        steps = [_RIGHT[arbitrary]] * (k - i)
+        steps += [_LEFT[digit] for digit in y[j + theta - 1 :]]
+        steps += [_LEFT[arbitrary]] * (j - 1)
+        steps += [_RIGHT[digit] for digit in reversed(y[: j - 1])]
         return steps
     raise RoutingError(f"unknown witness case {witness.case!r}")
 
@@ -213,10 +229,21 @@ def step_from_action(action: int, d: int) -> RoutingStep:
     (at-destination, unreachable) are not steps and are rejected.
     """
     if 0 <= action < d:
-        return RoutingStep(Direction.LEFT, action)
+        return _LEFT[action]
     if d <= action < 2 * d:
-        return RoutingStep(Direction.RIGHT, action - d)
+        return _RIGHT[action - d]
     raise RoutingError(f"action byte {action} is not a shift action for d = {d}")
+
+
+@functools.lru_cache(maxsize=None)
+def action_steps(d: int) -> Tuple[RoutingStep, ...]:
+    """The shared step of every shift action byte ``0..2d-1``, by index.
+
+    What the table tiers index to turn a row of action bytes into a path:
+    one tuple index per hop, into the same steps :func:`step_from_action`
+    returns.
+    """
+    return tuple(step_from_action(action, d) for action in range(2 * d))
 
 
 def action_from_step(step: RoutingStep, d: int) -> int:

@@ -12,9 +12,19 @@ from typing import Callable, List, Tuple
 
 from repro.core.arraybfs import reference_table_rows
 from repro.core.batch import distance_matrix
-from repro.core.distance import directed_distance, undirected_distance
+from repro.core.distance import (
+    directed_distance,
+    undirected_distance,
+    undirected_witness_scan,
+    undirected_witness_suffix_tree,
+)
 from repro.core.parallel import compile_table_buffers
-from repro.core.routing import shortest_path_undirected, shortest_path_unidirectional, verify_path
+from repro.core.routing import (
+    path_from_witness,
+    shortest_path_undirected,
+    shortest_path_unidirectional,
+    verify_path,
+)
 from repro.core.suffix_tree import SuffixTree, build_naive, canonical_form
 from repro.core.word import iter_words
 from repro.graphs.properties import degree_census, expected_undirected_census
@@ -62,6 +72,37 @@ def check_routing() -> str:
     return f"Algorithms 1/2/4 landed correctly on {count} routes"
 
 
+def check_scan() -> str:
+    """The diagonal scan vs BFS on DG(2,5) and DG(3,3), vs Algorithm 4 on
+    500 seeded DG(2,32) pairs; every path it yields replays."""
+    import random
+
+    def replay(x, y, d, want: int) -> None:
+        witness = undirected_witness_scan(x, y)
+        path = path_from_witness(witness, y, use_wildcards=False)
+        if witness.distance != want or len(path) != want:
+            raise AssertionError(
+                f"scan distance {witness.distance} != {want} at {x}, {y}")
+        if not verify_path(x, y, path, d):
+            raise AssertionError(f"scan path does not replay at {x}, {y}")
+
+    count = 0
+    for d, k in [(2, 5), (3, 3)]:
+        bfs = distance_matrix(d, k, directed=False)
+        words = list(iter_words(d, k))
+        for i, x in enumerate(words):
+            for j, y in enumerate(words):
+                replay(x, y, d, bfs[i][j])
+                count += 1
+    rng = random.Random(32)
+    for _ in range(500):
+        x = tuple(rng.randrange(2) for _ in range(32))
+        y = tuple(rng.randrange(2) for _ in range(32))
+        replay(x, y, 2, undirected_witness_suffix_tree(x, y).distance)
+    return (f"diagonal scan == BFS on {count} pairs of DG(2,5) and DG(3,3), "
+            "== Algorithm 4 on 500 DG(2,32) pairs, every path replays")
+
+
 def check_suffix_trees() -> str:
     """Ukkonen vs the naive builder on random texts."""
     import random
@@ -94,6 +135,7 @@ def check_census() -> str:
 CHECKS: List[Tuple[str, Callable[[], str]]] = [
     ("distances", check_distances),
     ("routing", check_routing),
+    ("scan", check_scan),
     ("suffix-trees", check_suffix_trees),
     ("sequences", check_sequences),
     ("census", check_census),

@@ -1,7 +1,7 @@
 """Route-query service: a network-facing front end for the routing core.
 
-Everything the previous PRs built — Algorithm 1/2 planners with the
-:class:`~repro.core.routing.RouteCache`, the one-to-many batch engine of
+Everything the previous PRs built — the Algorithm 1 and Theorem 2
+planners, the one-to-many batch engine of
 :mod:`repro.core.batch`, and the mmap-loadable
 :class:`~repro.core.tables.CompiledRouteTable` — was only reachable
 in-process.  This package puts it on the wire:
@@ -10,9 +10,9 @@ in-process.  This package puts it on the wire:
   (query / reply / error / stats) that reuse the paper's five-field
   path encoding from :mod:`repro.network.message`.
 * :mod:`repro.service.engine` — the tiered resolver: O(1) compiled-table
-  lookups when a table is loaded, cache-backed ``route()`` planning
-  otherwise, and same-destination coalescing through the suffix-automaton
-  batch engine.
+  lookups when a table is loaded, ``route()`` planning otherwise (the
+  word-parallel diagonal scan for undirected queries), and
+  same-destination coalescing through the suffix-automaton batch engine.
 * :mod:`repro.service.server` — an asyncio server with a micro-batching
   queue (flush on size or deadline), a bounded admission queue that
   answers overload with an explicit error frame instead of buffering

@@ -1,4 +1,4 @@
-"""Tiered route-query resolution: table → cache/planner → batch.
+"""Tiered route-query resolution: table → shards → planner → batch.
 
 One :class:`RouteQueryEngine` serves a single DG(d, k) in both
 orientations and picks the cheapest tier that can answer:
@@ -13,10 +13,11 @@ orientations and picks the cheapest tier that can answer:
    the same O(1) byte reads; cold destinations fall through to the
    planner while the shard compiles in the background under the byte
    budget.
-3. **Cache-backed planner** — otherwise :func:`repro.core.routing.route`
-   plans Algorithm 1/2 paths through the PR-1
-   :class:`~repro.core.routing.RouteCache`, so steady-state repeats are
-   amortised.
+3. **Planner** — otherwise :func:`repro.core.routing.route` plans each
+   query: Algorithm 1 for directed queries, the word-parallel diagonal
+   scan of Theorem 2 (``method="scan"``) for undirected ones.  Nothing is
+   memoised: uniform pairs almost never repeat, and a planned path holds
+   only references to core's shared steps.
 4. **One-to-many batch** — distance-only queries that the server's
    micro-batcher coalesced by destination are answered in one sweep:
    undirected groups build the destination's suffix automaton once
@@ -35,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.batch import undirected_distances_many
 from repro.core.packed import PackedSpace
-from repro.core.routing import Path, RouteCache, route
+from repro.core.routing import Path, action_steps, route
 from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import WordTuple, validate_parameters
@@ -47,8 +48,7 @@ class RouteQueryEngine:
     """Resolve (source, destination) queries for one DG(d, k).
 
     ``table`` may be attached at construction or later via
-    :meth:`attach_table`; ``cache_size=0`` disables the planner cache
-    (every query re-plans — the bench's "uncached ``route()``" leg).
+    :meth:`attach_table`.
 
     >>> engine = RouteQueryEngine(2, 3)
     >>> distance, path = engine.resolve(
@@ -62,7 +62,6 @@ class RouteQueryEngine:
         d: int,
         k: int,
         table: Optional[CompiledRouteTable] = None,
-        cache_size: int = 4096,
         use_wildcards: bool = False,
         registry: Optional[MetricsRegistry] = None,
         shards: Optional[ShardedRouteTable] = None,
@@ -71,7 +70,6 @@ class RouteQueryEngine:
         self.d = d
         self.k = k
         self.use_wildcards = use_wildcards
-        self.cache = RouteCache(maxsize=cache_size) if cache_size > 0 else None
         self.registry = registry if registry is not None else MetricsRegistry()
         self.table: Optional[CompiledRouteTable] = None
         self.shards: Optional[ShardedRouteTable] = None
@@ -143,11 +141,10 @@ class RouteQueryEngine:
             distance = table.distance_packed(px, py)
             if not want_path:
                 return distance, None
-            path = [
-                _STEP_OF_ACTION[table.d][action]
-                for action in table.path_actions(px, py)
+            step_of = action_steps(table.d)
+            return distance, [
+                step_of[action] for action in table.path_actions(px, py)
             ]
-            return distance, path
         shards = self._shards_for(directed)
         if shards is not None:
             space = shards.space
@@ -159,9 +156,8 @@ class RouteQueryEngine:
                 distance, actions = answer
                 if not want_path:
                     return distance, None
-                return distance, [
-                    _STEP_OF_ACTION[shards.d][action] for action in actions
-                ]
+                step_of = action_steps(shards.d)
+                return distance, [step_of[action] for action in actions]
             self.registry.inc("engine.shard_fallbacks")
         self.registry.inc("engine.planned")
         path = route(
@@ -169,8 +165,8 @@ class RouteQueryEngine:
             destination,
             self.d,
             directed=directed,
+            method="scan",
             use_wildcards=self.use_wildcards,
-            cache=self.cache,
         )
         return len(path), (path if want_path else None)
 
@@ -226,16 +222,7 @@ class RouteQueryEngine:
     # -- accounting ------------------------------------------------------
 
     def stats(self) -> dict:
-        """Engine-tier counters plus the planner cache's live counters."""
-        if self.cache is not None:
-            cache_stats = self.cache.stats()
-            self.registry.set_counter("engine.cache_hits", int(cache_stats["hits"]))
-            self.registry.set_counter(
-                "engine.cache_misses", int(cache_stats["misses"])
-            )
-            self.registry.set_counter(
-                "engine.cache_entries", int(cache_stats["entries"])
-            )
+        """Engine-tier counters plus the attached tiers' live state."""
         self.registry.set_counter(
             "engine.table_attached", 0 if self.table is None else 1
         )
@@ -271,7 +258,6 @@ class EngineSpec:
     shard_rows: Optional[int] = None
     shard_dir: Optional[str] = None
     shard_threshold: int = 1
-    cache_size: int = 4096
     use_wildcards: bool = False
 
     def build(
@@ -303,7 +289,6 @@ class EngineSpec:
             self.d,
             self.k,
             table=table,
-            cache_size=self.cache_size,
             use_wildcards=self.use_wildcards,
             registry=registry,
             shards=shard_table,
@@ -314,20 +299,3 @@ def build_engine(spec: EngineSpec) -> RouteQueryEngine:
     """Module-level :meth:`EngineSpec.build` (a picklable fork target)."""
     return spec.build()
 
-
-def _steps_by_action(d: int):
-    from repro.core.routing import step_from_action
-
-    return [step_from_action(action, d) for action in range(2 * d)]
-
-
-class _ActionSteps(dict):
-    """Lazy per-``d`` memo of action byte → RoutingStep (tiny, immortal)."""
-
-    def __missing__(self, d: int):
-        steps = _steps_by_action(d)
-        self[d] = steps
-        return steps
-
-
-_STEP_OF_ACTION = _ActionSteps()

@@ -203,7 +203,7 @@ def test_selfcheck_module(capsys):
     assert selfcheck_main() == 0
     out = capsys.readouterr().out
     assert "all self-checks passed" in out
-    assert out.count("[ ok ]") == 5
+    assert out.count("[ ok ]") == 6
 
 
 def test_render_command_svg_stdout(capsys):

@@ -491,4 +491,7 @@ def test_dg211_drills_repair_without_silencing_a_survivor(tmp_path):
         assert all(value == digest["expected"]
                    for value in digest["survivors"].values())
         assert report["fault_burst"]["lost"] == 0
+        healed_phase = report["fault_burst"]["per_phase"]["healed"]
+        assert healed_phase["queries"] > 0
+        assert healed_phase["ok"] == healed_phase["queries"]
         assert report["healed"]["ok"] == report["healed"]["queries"]

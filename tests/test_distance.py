@@ -14,10 +14,12 @@ from repro.core.distance import (
     undirected_distance_brute,
     undirected_witness,
     undirected_witness_matching,
+    undirected_witness_scan,
     undirected_witness_suffix_tree,
 )
+from repro.core.routing import path_from_witness, verify_path
 from repro.exceptions import InvalidWordError
-from tests.conftest import SMALL_GRAPHS, all_words, bfs_oracle
+from tests.conftest import SMALL_GRAPHS, all_words, bfs_oracle, random_words
 
 WORD_PAIRS = st.integers(min_value=2, max_value=3).flatmap(
     lambda d: st.integers(min_value=1, max_value=14).flatmap(
@@ -70,12 +72,12 @@ def test_directed_distance_bounds(pair):
 
 
 # ----------------------------------------------------------------------
-# Theorem 2: undirected distance (three implementations)
+# Theorem 2: undirected distance (four implementations)
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("d,k", SMALL_GRAPHS, ids=lambda v: str(v))
-@pytest.mark.parametrize("method", ["matching", "suffix_tree", "brute"])
+@pytest.mark.parametrize("method", ["matching", "suffix_tree", "scan", "brute"])
 def test_undirected_distance_equals_bfs_exhaustive(d, k, method):
     for x in all_words(d, k):
         oracle = bfs_oracle(x, d, directed=False)
@@ -90,6 +92,7 @@ def test_undirected_methods_agree(pair):
     brute = undirected_distance_brute(x, y)
     assert undirected_distance(x, y, "matching") == brute
     assert undirected_distance(x, y, "suffix_tree") == brute
+    assert undirected_distance(x, y, "scan") == brute
 
 
 @given(WORD_PAIRS)
@@ -140,7 +143,7 @@ def test_witness_methods_agree_on_distance(pair):
     x, y = pair
     wm = undirected_witness_matching(x, y)
     ws = undirected_witness_suffix_tree(x, y)
-    assert wm.distance == ws.distance
+    assert wm.distance == ws.distance == undirected_witness_scan(x, y).distance
 
 
 @given(WORD_PAIRS)
@@ -148,7 +151,8 @@ def test_witness_methods_agree_on_distance(pair):
 def test_witness_is_internally_consistent(pair):
     x, y = pair
     k = len(x)
-    for witness in (undirected_witness_matching(x, y), undirected_witness_suffix_tree(x, y)):
+    for witness in (undirected_witness_matching(x, y), undirected_witness_suffix_tree(x, y),
+                    undirected_witness_scan(x, y)):
         if witness.case == "trivial":
             assert witness.distance == k
             continue
@@ -164,6 +168,46 @@ def test_witness_is_internally_consistent(pair):
             assert x[witness.i - witness.theta : witness.i] == \
                 y[witness.j - 1 : witness.j - 1 + witness.theta]
             assert witness.distance == 2 * k - 1 - witness.i + witness.j - witness.theta
+
+
+def _near_pairs(d, k, count, seed):
+    """Random pairs, and pairs sharing a long shifted block (small distances)."""
+    xs = random_words(d, k, count, seed=seed)
+    ys = random_words(d, k, count, seed=seed + 1)
+    pairs = list(zip(xs, ys))
+    for index, (x, y) in enumerate(zip(xs, ys)):
+        cut = index % k
+        pairs.append((x, x[cut:] + y[:cut]))
+        pairs.append((x, y[:cut] + x[: k - cut]))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "d,k,count",
+    [(4, 3, 0), (5, 3, 0), (7, 2, 0), (3, 20, 200), (5, 12, 200), (7, 12, 200),
+     (2, 64, 100), (2, 100, 60)],
+    ids=lambda v: str(v),
+)
+def test_scan_wide_digits_and_long_words(d, k, count):
+    """The scan packs several bits per digit and any k into one int."""
+    if count:
+        pairs = _near_pairs(d, k, count, seed=d * 1000 + k)
+    else:
+        words = all_words(d, k)
+        pairs = [(x, y) for x in words for y in words]
+    for x, y in pairs:
+        witness = undirected_witness_scan(x, y)
+        assert witness.distance == undirected_witness_suffix_tree(x, y).distance, (x, y)
+        path = path_from_witness(witness, y, use_wildcards=False)
+        assert len(path) == witness.distance
+        assert verify_path(x, y, path, d), (x, y, witness)
+
+
+def test_scan_rejects_a_negative_digit():
+    with pytest.raises(InvalidWordError):
+        undirected_witness_scan((0, 1, 2), (1, -1, 0))
+    with pytest.raises(InvalidWordError):
+        undirected_distance((0, -3), (1, 0), "scan")
 
 
 def test_witness_trivial_for_diameter_pair():

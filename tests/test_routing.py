@@ -22,7 +22,7 @@ from repro.core.routing import (
     verify_path,
 )
 from repro.exceptions import RoutingError
-from tests.conftest import SMALL_GRAPHS, all_words, bfs_oracle
+from tests.conftest import SMALL_GRAPHS, all_words, bfs_oracle, random_words
 
 PAIR_STRATEGY = st.integers(min_value=2, max_value=3).flatmap(
     lambda d: st.integers(min_value=1, max_value=12).flatmap(
@@ -143,6 +143,22 @@ def test_trivial_case_spells_destination_left_shifts():
     # 000 -> 111 is a diameter pair: the path is k left shifts spelling y.
     path = shortest_path_undirected((0, 0, 0), (1, 1, 1))
     assert [(s.direction, s.digit) for s in path] == [(Direction.LEFT, 1)] * 3
+
+
+@pytest.mark.parametrize("d,k", [(2, 12), (3, 6)])
+def test_planned_paths_share_their_steps(d, k):
+    """Every planner hands out the one frozen step of each (direction, digit)."""
+    pairs = list(zip(random_words(d, k, 150, seed=d), random_words(d, k, 150, seed=k)))
+    steps = {}
+    for x, y in pairs:
+        for directed in (False, True):
+            for wildcards in (False, True):
+                for method in ("auto", "matching", "suffix_tree", "scan"):
+                    path = route(x, y, d, directed=directed, method=method,
+                                 use_wildcards=wildcards)
+                    assert verify_path(x, y, path, d)
+                    steps.update((id(step), step) for step in path)
+    assert len(steps) <= 2 * (d + 1)
 
 
 # ----------------------------------------------------------------------

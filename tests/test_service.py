@@ -315,7 +315,8 @@ def test_engine_planner_tier_matches_route(directed):
     engine = RouteQueryEngine(2, 5)
     for x, y in _pairs(2, 5, 40, seed=3):
         distance, path = engine.resolve(x, y, directed, want_path=True)
-        expected = route(x, y, 2, directed=directed, use_wildcards=False)
+        expected = route(x, y, 2, directed=directed, method="scan",
+                         use_wildcards=False)
         assert distance == len(expected)
         assert path == expected
     assert engine.registry.counter("engine.planned").value == 40 * 1
@@ -358,9 +359,7 @@ def test_engine_batch_distances_match_pairs(directed, with_table):
 
 
 def test_engine_cache_disabled_and_table_mismatch():
-    engine = RouteQueryEngine(2, 4, cache_size=0)
-    assert engine.cache is None
-    engine.resolve((0, 1, 0, 1), (1, 0, 1, 0), False, True)
+    engine = RouteQueryEngine(2, 4)
     with pytest.raises(ServiceError):
         engine.attach_table(CompiledRouteTable.compile(2, 3, workers=1))
 
@@ -454,7 +453,7 @@ def test_server_rejects_wrong_graph_and_frame_type():
 
 def test_server_overload_rejects_but_stays_responsive():
     async def scenario():
-        engine = RouteQueryEngine(2, 6, cache_size=0)
+        engine = RouteQueryEngine(2, 6)
         config = ServerConfig(max_pending=16)
         async with RouteQueryServer(engine, config) as server:
             async with RouteServiceClient("127.0.0.1", server.port,
