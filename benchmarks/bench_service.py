@@ -4,11 +4,13 @@ Four measurements around :mod:`repro.service` (the asyncio route-query
 server of this PR), all over real loopback TCP:
 
 1. **Tier throughput** — a 10k-query pipelined burst on DG(2,12),
-   answered first by the uncached planner tier (``cache_size=0``, every
-   query replans via :func:`repro.core.routing.route`) and then by the
-   O(1) compiled-table tier.  The table tier must be at least
-   ``TABLE_SPEEDUP_MIN``x the planner's queries/sec: it replaces a full
-   Algorithm-4 plan with two byte reads per query.
+   answered first by the planner tier (no cache: every query plans via
+   :func:`repro.core.routing.route`, the word-parallel diagonal scan for
+   these undirected queries) and then by the O(1) compiled-table tier.
+   The table tier must be at least ``TABLE_SPEEDUP_MIN``x the planner's
+   queries/sec.  That bar was set when the planner ran a full
+   Algorithm-4 plan per query; against the diagonal scan the table
+   tier wins by less, and the assert fails.
 2. **Tail latency** — p50/p95/p99 per-request server-side latency from
    the ``server.latency_seconds`` histogram, fetched over a STATS frame
    (so the metrics path itself is exercised end to end).
@@ -310,8 +312,10 @@ def test_service(benchmark, report, tmp_path):
                    ("drain seconds", round(over["drain_seconds"], 4)),
                ]))
 
-    # Acceptance 1: O(1) table lookups must beat replanning every query
-    # by at least TABLE_SPEEDUP_MIN x on the pipelined burst.
+    # Acceptance 1: O(1) table lookups must beat planning every query
+    # by at least TABLE_SPEEDUP_MIN x on the pipelined burst.  The bar
+    # was set against Algorithm 4; the planner now runs the diagonal
+    # scan, and the table tier wins by less (see the module docstring).
     assert record["table_speedup"] >= TABLE_SPEEDUP_MIN, (
         f"table tier only {record['table_speedup']:.2f}x the uncached "
         f"planner (bar: {TABLE_SPEEDUP_MIN}x)"

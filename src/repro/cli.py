@@ -323,24 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--compile-table", action="store_true",
                          help="compile the undirected table in-process at "
                               "startup")
-    p_serve.add_argument("--shards", action="store_true",
-                         help="attach the lazy sharded table tier: compile "
-                              "per-destination-prefix shards on demand under "
-                              "--shard-budget-mb, falling back to the O(k) "
-                              "planner for cold destinations (the big-k "
-                              "answer where the full table cannot fit)")
-    p_serve.add_argument("--shard-budget-mb", type=int, default=512,
-                         help="resident shard byte budget in MiB; LRU shards "
-                              "are evicted beyond it")
-    p_serve.add_argument("--shard-rows", type=int, default=None,
-                         help="destinations per shard (a power of d; default "
-                              "sized from the budget)")
-    p_serve.add_argument("--shard-dir", default=None, metavar="DIR",
-                         help="persist compiled shards here and mmap-reload "
-                              "them instead of recompiling after eviction")
-    p_serve.add_argument("--shard-threshold", type=int, default=1,
-                         help="queries a cold destination group needs before "
-                              "its shard compile is scheduled")
     p_serve.add_argument("--max-pending", type=int, default=1024,
                          help="admission-queue bound; beyond it queries get "
                               "explicit OVERLOADED replies")
@@ -455,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="fetch and print the server's STATS snapshot")
     p_query.add_argument("--stats-json", default=None, metavar="PATH",
                          help="fetch the STATS snapshot (tier breakdown "
-                              "included: engine.*, shards.*) and write it "
-                              "to this file")
+                              "included: engine.*) and write it to this "
+                              "file")
     p_query.add_argument("--assert-min-replies", type=int, default=None,
                          metavar="N",
                          help="exit nonzero unless the server's replies "
@@ -1041,8 +1023,7 @@ def _serve_spec(args: argparse.Namespace):
     Multi-worker mode turns ``--compile-table`` into compile-once /
     mmap-everywhere: the supervisor process compiles, saves to a temp
     file, and every worker mmap-loads that file — the kernel page cache
-    is the only copy.  ``--shards`` similarly gets a shared cache dir so
-    workers reuse each other's compiled shards.
+    is the only copy.
     """
     import tempfile
 
@@ -1050,15 +1031,11 @@ def _serve_spec(args: argparse.Namespace):
 
     if args.table and args.compile_table:
         raise SystemExit2("--table and --compile-table are mutually exclusive")
-    if args.shards and (args.table or args.compile_table):
-        raise SystemExit2("--shards replaces the full table; drop --table / "
-                          "--compile-table")
     if args.workers < 1:
         raise SystemExit2(f"--workers must be >= 1, got {args.workers}")
     cleanup: List[str] = []
     table_path = args.table
     compile_inproc = args.compile_table
-    shard_dir = args.shard_dir
     if args.workers > 1 and args.compile_table:
         from repro.core.tables import CompiledRouteTable
 
@@ -1070,17 +1047,10 @@ def _serve_spec(args: argparse.Namespace):
         table_path = handle.name
         compile_inproc = False
         cleanup.append(handle.name)
-    if args.workers > 1 and args.shards and shard_dir is None:
-        shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
     spec = EngineSpec(
         args.d, args.k,
         table_path=table_path,
         compile_table=compile_inproc,
-        shards=args.shards,
-        shard_byte_budget=args.shard_budget_mb << 20,
-        shard_rows=args.shard_rows,
-        shard_dir=shard_dir,
-        shard_threshold=args.shard_threshold,
     )
     return spec, cleanup
 
@@ -1107,12 +1077,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         read_timeout=args.read_timeout,
         max_connections=args.max_connections)
 
-    if spec.table_path or spec.compile_table:
-        tier = "table"
-    elif spec.shards:
-        tier = f"sharded ({args.shard_budget_mb} MiB budget)"
-    else:
-        tier = "planner"
+    tier = "table" if spec.table_path or spec.compile_table else "planner"
 
     try:
         if args.workers > 1:
@@ -1163,10 +1128,7 @@ def _serve_single(args, spec, server_config, tier: str) -> dict:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
-    snapshot = server.snapshot()
-    if engine.shards is not None:
-        engine.shards.close()
-    return snapshot
+    return server.snapshot()
 
 
 def _serve_fleet(args, spec, server_config, tier: str) -> dict:

@@ -1,8 +1,8 @@
 """The BFS kernel: whole frontiers as bulk integer arithmetic.
 
-Every all-pairs structure in the package — compiled route tables, lazy
-shards, repaired tables, distance matrices and the exact averages built
-on them — is filled by the one lockstep kernel in this module.  The
+Every all-pairs structure in the package — compiled route tables,
+repaired tables, distance matrices and the exact averages built on
+them — is filled by the one lockstep kernel in this module.  The
 distance-layer structure of de Bruijn digraphs (Fàbrega et al., arXiv
 2203.09918) guarantees every BFS frontier expands by *affine maps over
 packed ranges* — the d type-L successors of ``v`` are the contiguous
@@ -67,8 +67,8 @@ _BLOCKED_MARK = 0xFE
 DEFAULT_BLOCK_ROWS = 256
 
 #: Cap on transient scratch (candidate arrays, position scratch) per
-#: block; blocks shrink automatically for big graphs so a DG(2,20)
-#: shard compile stays laptop-sized.
+#: block; blocks shrink automatically for big graphs so a compile of
+#: DG(2,15), the largest one table allows, stays laptop-sized.
 _SCRATCH_BUDGET_BYTES = 64 << 20
 
 
@@ -252,11 +252,10 @@ def table_rows(d: int, k: int, dests: Sequence[int], directed: bool = False,
                block: Optional[int] = None) -> Tuple[bytearray, bytearray]:
     """(distances, actions) rows for ``dests``, freshly allocated.
 
-    The shard compiler's and the repair layer's entry point: unlike
+    The tests' allocating entry point to the kernel: unlike
     :func:`repro.core.parallel.compile_table_buffers` it never touches
-    the other destinations, so memory and time are ``O(rows · N)`` — a
-    DG(2,20) shard of four destinations costs ~8 MB, not the impossible
-    N² table.
+    the other destinations, so memory and time are ``O(rows · N)`` — four
+    DG(2,20) destinations cost ~8 MB, not the impossible N² table.
     """
     n = check_byte_rows(d, k)
     cells = len(dests) * n

@@ -162,19 +162,6 @@ class PackedSpace:
             raise InvalidWordError(f"suffix length {length} outside 0..{self.k}")
         return value % self._pow[length]
 
-    def prefix_range(self, value: int, length: int) -> Tuple[int, int]:
-        """Packed ``[start, stop)`` of every word sharing ``value``'s
-        ``length``-digit prefix.
-
-        Because packing is big-endian positional, a common prefix pins
-        the high digits, so the group is one contiguous run of
-        ``d^(k-length)`` packed values — the unit the lazy shard tier
-        (:mod:`repro.core.shards`) compiles and evicts as a whole.
-        """
-        span = self._pow[self.k - length]
-        start = self.prefix(value, length) * span
-        return start, start + span
-
     # -- distances ------------------------------------------------------
 
     def overlap_length(self, x: int, y: int) -> int:

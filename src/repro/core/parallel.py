@@ -83,10 +83,9 @@ def _check_buffer_size(d: int, k: int) -> int:
         raise InvalidParameterError(
             f"DG({d},{k}) needs {n}^2-byte flat buffers, beyond the "
             f"{MAX_CELLS}-cell ({MAX_CELLS >> 30} GiB) guard for one "
-            f"all-pairs compile. Big k is served by the lazy sharded "
-            f"tier instead: repro.core.shards.ShardedRouteTable compiles "
-            f"per-destination-prefix shards on demand under a byte "
-            f"budget (CLI: `serve --shards --shard-budget-mb ...`)."
+            f"all-pairs compile. Big k is served by the planner, which "
+            f"routes from the two labels alone with no table (CLI: "
+            f"`serve` without --table or --compile-table)."
         )
     return n
 

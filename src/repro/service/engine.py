@@ -1,4 +1,4 @@
-"""Tiered route-query resolution: table → shards → planner → batch.
+"""Tiered route-query resolution: table → planner → batch.
 
 One :class:`RouteQueryEngine` serves a single DG(d, k) in both
 orientations and picks the cheapest tier that can answer:
@@ -7,18 +7,13 @@ orientations and picks the cheapest tier that can answer:
    CompiledRouteTable` of matching orientation is attached (compiled
    in-process or mmap-loaded from a ``compile-tables`` artifact), a
    distance is one byte read and a path is one byte read per hop.
-2. **Lazy shards** — when a :class:`~repro.core.shards.
-   ShardedRouteTable` is attached instead (big k, where the full O(N²)
-   table cannot exist), destinations whose prefix group is resident get
-   the same O(1) byte reads; cold destinations fall through to the
-   planner while the shard compiles in the background under the byte
-   budget.
-3. **Planner** — otherwise :func:`repro.core.routing.route` plans each
-   query: Algorithm 1 for directed queries, the word-parallel diagonal
-   scan of Theorem 2 (``method="scan"``) for undirected ones.  Nothing is
-   memoised: uniform pairs almost never repeat, and a planned path holds
-   only references to core's shared steps.
-4. **One-to-many batch** — distance-only queries that the server's
+2. **Planner** — otherwise :func:`repro.core.routing.route` plans each
+   query from the two labels alone, for any k: Algorithm 1 for directed
+   queries, the word-parallel diagonal scan of Theorem 2
+   (``method="scan"``) for undirected ones.  Nothing is memoised:
+   uniform pairs almost never repeat, and a planned path holds only
+   references to core's shared steps.
+3. **One-to-many batch** — distance-only queries that the server's
    micro-batcher coalesced by destination are answered in one sweep:
    undirected groups build the destination's suffix automaton once
    (:func:`repro.core.batch.undirected_distances_many`, valid because
@@ -37,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.batch import undirected_distances_many
 from repro.core.packed import PackedSpace
 from repro.core.routing import Path, action_steps, route
-from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import WordTuple, validate_parameters
 from repro.exceptions import ServiceError
@@ -64,7 +58,6 @@ class RouteQueryEngine:
         table: Optional[CompiledRouteTable] = None,
         use_wildcards: bool = False,
         registry: Optional[MetricsRegistry] = None,
-        shards: Optional[ShardedRouteTable] = None,
     ) -> None:
         validate_parameters(d, k)
         self.d = d
@@ -72,12 +65,9 @@ class RouteQueryEngine:
         self.use_wildcards = use_wildcards
         self.registry = registry if registry is not None else MetricsRegistry()
         self.table: Optional[CompiledRouteTable] = None
-        self.shards: Optional[ShardedRouteTable] = None
         self.space = PackedSpace(d, k)
         if table is not None:
             self.attach_table(table)
-        if shards is not None:
-            self.attach_shards(shards)
 
     def attach_table(self, table: CompiledRouteTable) -> None:
         """Serve matching-orientation queries from ``table`` from now on."""
@@ -88,30 +78,10 @@ class RouteQueryEngine:
             )
         self.table = table
 
-    def attach_shards(self, shards: ShardedRouteTable) -> None:
-        """Serve matching-orientation queries from the lazy shard tier.
-
-        Consulted after the full table (if any) and before the planner;
-        cold shard groups fall through to the planner, so attaching
-        shards never blocks a query on a compile.
-        """
-        if (shards.d, shards.k) != (self.d, self.k):
-            raise ServiceError(
-                f"shards are for DG({shards.d},{shards.k}), engine serves "
-                f"DG({self.d},{self.k})"
-            )
-        self.shards = shards
-
     def _table_for(self, directed: bool) -> Optional[CompiledRouteTable]:
         table = self.table
         if table is not None and table.directed == directed:
             return table
-        return None
-
-    def _shards_for(self, directed: bool) -> Optional[ShardedRouteTable]:
-        shards = self.shards
-        if shards is not None and shards.directed == directed:
-            return shards
         return None
 
     def has_table(self, directed: bool) -> bool:
@@ -145,20 +115,6 @@ class RouteQueryEngine:
             return distance, [
                 step_of[action] for action in table.path_actions(px, py)
             ]
-        shards = self._shards_for(directed)
-        if shards is not None:
-            space = shards.space
-            px = space.pack_checked(source)
-            py = space.pack_checked(destination)
-            answer = shards.resolve_packed(px, py, want_path)
-            if answer is not None:
-                self.registry.inc("engine.shard_hits")
-                distance, actions = answer
-                if not want_path:
-                    return distance, None
-                step_of = action_steps(shards.d)
-                return distance, [step_of[action] for action in actions]
-            self.registry.inc("engine.shard_fallbacks")
         self.registry.inc("engine.planned")
         path = route(
             source,
@@ -192,20 +148,6 @@ class RouteQueryEngine:
             return [
                 table.distance_packed(space.pack_checked(s), py) for s in sources
             ]
-        shards = self._shards_for(directed)
-        if shards is not None:
-            space = shards.space
-            py = space.pack_checked(destination)
-            # One reference covers the whole flush: eviction mid-batch
-            # cannot split the answers across two shard generations.
-            shard = shards.shard_for(py)
-            if shard is not None:
-                self.registry.inc("engine.shard_hits", len(sources))
-                return [
-                    shard.distance_packed(space.pack_checked(s), py)
-                    for s in sources
-                ]
-            self.registry.inc("engine.shard_fallbacks", len(sources))
         self.registry.inc("engine.batched", len(sources))
         self.registry.inc("engine.batch_flushes")
         if directed:
@@ -222,16 +164,10 @@ class RouteQueryEngine:
     # -- accounting ------------------------------------------------------
 
     def stats(self) -> dict:
-        """Engine-tier counters plus the attached tiers' live state."""
+        """Engine-tier counters plus whether a table is attached."""
         self.registry.set_counter(
             "engine.table_attached", 0 if self.table is None else 1
         )
-        self.registry.set_counter(
-            "engine.shards_attached", 0 if self.shards is None else 1
-        )
-        if self.shards is not None:
-            for name, value in self.shards.stats().items():
-                self.registry.set_counter(f"shards.{name}", int(value))
         return self.registry.snapshot()
 
 
@@ -244,8 +180,8 @@ class EngineSpec:
     exec boundary, and even under ``fork`` every worker should mmap the
     compiled table file itself so the only shared state is the kernel
     page cache.  A spec captures everything ``serve`` knows how to
-    assemble (table path / in-process compile / lazy shards / bare
-    planner) as picklable values; :meth:`build` turns it into an engine
+    assemble (table path / in-process compile / bare planner) as
+    picklable values; :meth:`build` turns it into an engine
     wherever it lands.
     """
 
@@ -253,11 +189,6 @@ class EngineSpec:
     k: int
     table_path: Optional[str] = None  #: mmap-load this compiled table
     compile_table: bool = False  #: compile the undirected table in-process
-    shards: bool = False  #: attach the lazy sharded tier instead
-    shard_byte_budget: int = 512 << 20
-    shard_rows: Optional[int] = None
-    shard_dir: Optional[str] = None
-    shard_threshold: int = 1
     use_wildcards: bool = False
 
     def build(
@@ -265,7 +196,6 @@ class EngineSpec:
     ) -> "RouteQueryEngine":
         """Construct the engine this spec describes (see class docs)."""
         table = None
-        shard_table = None
         if self.table_path is not None:
             table = CompiledRouteTable.load(self.table_path)
             if (table.d, table.k) != (self.d, self.k):
@@ -276,22 +206,12 @@ class EngineSpec:
                 )
         elif self.compile_table:
             table = CompiledRouteTable.compile(self.d, self.k)
-        elif self.shards:
-            shard_table = ShardedRouteTable(
-                self.d,
-                self.k,
-                byte_budget=self.shard_byte_budget,
-                rows_per_shard=self.shard_rows,
-                cache_dir=self.shard_dir,
-                compile_threshold=self.shard_threshold,
-            )
         return RouteQueryEngine(
             self.d,
             self.k,
             table=table,
             use_wildcards=self.use_wildcards,
             registry=registry,
-            shards=shard_table,
         )
 
 

@@ -9,9 +9,8 @@ scales the service across cores with the classic shared-nothing recipe:
   worker processes; each builds its *own*
   :class:`~repro.service.engine.RouteQueryEngine` from an
   :class:`~repro.service.engine.EngineSpec` — mmap-loading the same
-  compiled table file (and sharing a shard cache dir), so the only
-  cross-worker state is the kernel page cache.  No locks, no shared
-  interpreter, no GIL contention.
+  compiled table file, so the only cross-worker state is the kernel
+  page cache.  No locks, no shared interpreter, no GIL contention.
 * **``SO_REUSEPORT`` listeners.**  Every worker binds the same
   ``host:port`` with ``SO_REUSEPORT`` and the kernel spreads incoming
   connections across them.  Where the option is unavailable the
@@ -47,7 +46,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.exceptions import ServiceError
 from repro.service.engine import EngineSpec, RouteQueryEngine
@@ -174,6 +173,8 @@ class ServiceSupervisor:
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         self._generations: Dict[int, int] = {}
         self._links: Dict[int, _WorkerLink] = {}
+        #: Every open control connection, whether or not it said hello.
+        self._open_links: Set[_WorkerLink] = set()
         self._hello_waiters: Dict[int, "asyncio.Future[None]"] = {}
         self._placeholder: Optional[socket.socket] = None
         self._shared_sock: Optional[socket.socket] = None
@@ -266,10 +267,13 @@ class ServiceSupervisor:
         self._procs.clear()
         if self._control_server is not None:
             self._control_server.close()
+            # From Python 3.12.1 wait_closed() also waits for every
+            # accepted connection, so each must be closed first, the
+            # ones that never said hello included.
+            for link in list(self._open_links):
+                link.writer.close()
             await self._control_server.wait_closed()
             self._control_server = None
-        for link in list(self._links.values()):
-            link.writer.close()
         self._links.clear()
         if self._placeholder is not None:
             self._placeholder.close()
@@ -438,6 +442,7 @@ class ServiceSupervisor:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         link = _WorkerLink(reader, writer)
+        self._open_links.add(link)
         try:
             while True:
                 line = await reader.readline()
@@ -472,6 +477,7 @@ class ServiceSupervisor:
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         finally:
+            self._open_links.discard(link)
             if self._links.get(link.index) is link:
                 del self._links[link.index]
             for future in link.pending.values():
@@ -616,9 +622,6 @@ async def _worker_async(
         await server.stop()
         if control is not None:
             await control.close()
-        shards = engine.shards
-        if shards is not None:
-            shards.close()
 
 
 class _WorkerControl:

@@ -354,26 +354,6 @@ def test_serve_command_rejects_conflicting_table_flags(capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_serve_command_rejects_shards_plus_table(capsys):
-    assert main(["serve", "-d", "2", "-k", "3", "--shards",
-                 "--compile-table"]) == 2
-    assert "--shards replaces the full table" in capsys.readouterr().err
-
-
-def test_serve_command_shard_tier(tmp_path, capsys):
-    import json
-
-    target = tmp_path / "stats.json"
-    assert main(["serve", "-d", "2", "-k", "6", "--port", "0",
-                 "--shards", "--shard-budget-mb", "4",
-                 "--duration", "0.2", "--stats-json", str(target)]) == 0
-    out = capsys.readouterr().out
-    assert "sharded (" in out and "4 MiB budget" in out
-    counters = json.loads(target.read_text())["counters"]
-    assert "shards.resident_bytes" in counters
-    assert counters["engine.shards_attached"] == 1
-
-
 def test_query_command_single_pair(live_server, capsys):
     assert main(["query", "-d", "2", "-k", "4", "--port",
                  str(live_server.port), "0110", "1110"]) == 0

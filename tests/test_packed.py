@@ -65,25 +65,6 @@ def space_pack_partial(d, digits):
     return value
 
 
-@given(WORD_STRATEGY)
-@settings(max_examples=200, deadline=None)
-def test_prefix_range_is_the_common_prefix_group(case):
-    d, word, _ = case
-    k = len(word)
-    space = PackedSpace(d, k)
-    value = space.pack(word)
-    for length in range(k + 1):
-        start, stop = space.prefix_range(value, length)
-        assert stop - start == d ** (k - length)
-        assert start <= value < stop
-        # Exactly the packed values sharing the length-digit prefix.
-        assert space.prefix(start, length) == space.prefix(value, length)
-        if stop < space.order:
-            assert space.prefix(stop, length) != space.prefix(value, length)
-        if start > 0:
-            assert space.prefix(start - 1, length) != space.prefix(value, length)
-
-
 def test_packing_matches_word_to_int():
     """Packing is the base-d positional value, head digit most
     significant, so packed order is ``iter_words`` order."""

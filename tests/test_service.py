@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import directed_distance, undirected_distance
-from repro.core.routing import Direction, RoutingStep, route
+from repro.core.routing import Direction, RoutingStep, route, verify_path
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import random_word
 from repro.exceptions import ProtocolError, ServiceError
@@ -310,15 +310,25 @@ def test_merge_rejects_incompatible_histograms():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_engine_planner_tier_matches_route(directed):
-    engine = RouteQueryEngine(2, 5)
-    for x, y in _pairs(2, 5, 40, seed=3):
+@pytest.mark.parametrize("directed, k", [
+    pytest.param(False, 5, id="False"),
+    pytest.param(True, 5, id="True"),
+    pytest.param(False, 20, id="False-k20"),
+    pytest.param(True, 20, id="True-k20"),
+])
+def test_engine_planner_tier_matches_route(directed, k):
+    engine = RouteQueryEngine(2, k)
+    oracle = directed_distance if directed else undirected_distance
+    for x, y in _pairs(2, k, 40, seed=3):
         distance, path = engine.resolve(x, y, directed, want_path=True)
         expected = route(x, y, 2, directed=directed, method="scan",
                          use_wildcards=False)
         assert distance == len(expected)
         assert path == expected
+        assert verify_path(x, y, path, 2)
+        # Property 1 when directed; otherwise what ``auto`` picks:
+        # Algorithm 2 at k = 5, Algorithm 4 at k = 20.
+        assert distance == oracle(x, y)
     assert engine.registry.counter("engine.planned").value == 40 * 1
 
 
@@ -346,13 +356,17 @@ def test_engine_distance_only_skips_path():
 
 
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("with_table", [False, True])
-def test_engine_batch_distances_match_pairs(directed, with_table):
-    table = (CompiledRouteTable.compile(2, 5, workers=1, directed=directed)
+@pytest.mark.parametrize("k, with_table", [
+    pytest.param(5, False, id="False"),
+    pytest.param(5, True, id="True"),
+    pytest.param(20, False, id="k20"),
+])
+def test_engine_batch_distances_match_pairs(directed, k, with_table):
+    table = (CompiledRouteTable.compile(2, k, workers=1, directed=directed)
              if with_table else None)
-    engine = RouteQueryEngine(2, 5, table=table)
-    destination = (1, 0, 1, 1, 0)
-    sources = [x for x, _ in _pairs(2, 5, 25, seed=5)]
+    engine = RouteQueryEngine(2, k, table=table)
+    destination = (1, 0, 1, 1, 0) * (k // 5)
+    sources = [x for x, _ in _pairs(2, k, 25, seed=5)]
     got = engine.resolve_distances(destination, sources, directed)
     oracle = directed_distance if directed else undirected_distance
     assert got == [oracle(x, destination) for x in sources]
