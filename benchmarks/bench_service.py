@@ -34,10 +34,8 @@ machinery on DG(2,8) for the CI smoke job (``make bench-smoke``).
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -52,6 +50,7 @@ from repro.core.word import Word, random_word
 from repro.service.client import (RetryPolicy, fetch_stats, run_burst,
                                   run_robust_burst)
 from repro.service.engine import EngineSpec, RouteQueryEngine
+from repro.service.loop import LoopThread
 from repro.service.server import RouteQueryServer, ServerConfig
 from repro.service.supervisor import SupervisorConfig, SupervisorThread
 
@@ -76,42 +75,26 @@ class _LiveServer:
     """A route-query server on its own thread/loop, for sync callers.
 
     The benchmark body is synchronous (pytest-benchmark), so the server
-    runs a private event loop in a daemon thread and the blocking client
-    helpers talk to it over loopback TCP — the same deployment shape as
-    the ``serve`` CLI subcommand.
+    runs on a :class:`~repro.service.loop.LoopThread` and the blocking
+    client helpers talk to it over loopback TCP.
     """
 
     def __init__(self, engine: RouteQueryEngine, **config_kwargs) -> None:
-        self._ready = threading.Event()
-        self.port: int = 0
-        self.drain_seconds: Optional[float] = None
-        self._config = ServerConfig(**config_kwargs)
-        self._engine = engine
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30):  # pragma: no cover - hang guard
-            raise RuntimeError("route-query server failed to start")
+        self._server = RouteQueryServer(engine, ServerConfig(**config_kwargs))
+        self._loop = LoopThread(name="live-server")
+        self.port: int = self._loop.call(self._server.start(), 30)
 
-    def _run(self) -> None:
-        async def _main() -> None:
-            server = RouteQueryServer(self._engine, self._config)
-            self.port = await server.start()
-            self._stop = asyncio.Event()
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-            await self._stop.wait()
-            start = time.perf_counter()
-            await server.stop()
-            self.drain_seconds = time.perf_counter() - start
-
-        asyncio.run(_main())
+    async def _drain(self) -> float:
+        start = time.perf_counter()
+        await self._server.stop()
+        return time.perf_counter() - start
 
     def close(self) -> float:
         """Stop the server; returns how long the graceful drain took."""
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=60)
-        assert self.drain_seconds is not None, "server thread did not exit"
-        return self.drain_seconds
+        try:
+            return self._loop.call(self._drain(), 60)
+        finally:
+            self._loop.close()
 
 
 def _pairs(d: int, k: int, count: int, seed: int) -> List[Tuple[Word, Word]]:

@@ -17,17 +17,17 @@ Subcommands
 ``robustness``          random-failure robustness sweep
 ``sort``                distributed sort demo on the embedded array
 ``render``              write the graph (optionally with a route) as SVG/DOT
-``compile-tables``      compile + save a next-hop route table (sharded BFS)
+``compile-tables``      compile + save a next-hop route table (parallel BFS)
 ``chaos``               seeded fault-injection campaign across strategies
 ``detect``              SWIM failure detection on one seeded fault timeline
-``serve``               run the route-query server (E21; ``--workers N``
-                        scales it across cores, E23)
+``serve``               run the route-query server under its supervisor
+                        (E21; ``--workers N`` scales it across cores, E23)
 ``loadgen``             closed-loop capacity sweep / soak against a
                         running server (E23)
 ``query``               query a running server (one pair, or a burst)
 ``chaosproxy``          wire-level fault-injecting TCP proxy in front of
                         a server (E24); ``query``/``loadgen`` gain
-                        ``--retries``/``--deadline-ms``/``--hedge-ms``
+                        ``--retries``/``--deadline-ms``
 
 Examples::
 
@@ -73,10 +73,10 @@ from repro.network.traffic import uniform_random
 
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """Retry/deadline/hedge/breaker knobs shared by query and loadgen.
+    """Retry/deadline/breaker knobs shared by query and loadgen.
 
-    Any of ``--retries``, ``--deadline-ms``, or ``--hedge-ms`` switches
-    bursts to the hardened client (E24); with none of them the plain
+    ``--retries`` or ``--deadline-ms`` switches bursts to the hardened
+    client (E24); with neither of them the plain
     pipelining client is used, exactly as before.  A single ``query
     SOURCE DESTINATION`` retries under the same policy, or under the
     one-shot default when no flag is given.
@@ -92,9 +92,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attempt-timeout-ms", type=float, default=None,
                         help="cap one attempt's wait (default: the whole "
                              "remaining deadline)")
-    parser.add_argument("--hedge-ms", type=float, default=None,
-                        help="hedge a stalled attempt onto a second "
-                             "connection after this many milliseconds")
     parser.add_argument("--breaker-failures", type=int, default=5,
                         help="consecutive failures that trip the circuit "
                              "breaker open")
@@ -105,8 +102,7 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resilience_from_args(args: argparse.Namespace):
     """Build (RetryPolicy, BreakerConfig) from CLI flags, or (None, None)."""
-    if (args.retries is None and args.deadline_ms is None
-            and args.hedge_ms is None):
+    if args.retries is None and args.deadline_ms is None:
         return None, None
     from repro.service.client import BreakerConfig, RetryPolicy
 
@@ -116,8 +112,6 @@ def _resilience_from_args(args: argparse.Namespace):
                   if args.deadline_ms is not None else 30.0),
         attempt_timeout=(args.attempt_timeout_ms / 1000.0
                          if args.attempt_timeout_ms is not None else None),
-        hedge_after=(args.hedge_ms / 1000.0
-                     if args.hedge_ms is not None else None),
         seed=f"retry:{args.seed}",
     )
     breaker = BreakerConfig(
@@ -347,10 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the final metrics snapshot to this file "
                               "on shutdown")
     p_serve.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="worker processes; N>1 runs the multi-core "
-                              "supervisor (SO_REUSEPORT or a shared "
-                              "listener), each worker mmap-loading the same "
-                              "table (E23)")
+                         help="worker processes the supervisor forks and "
+                              "respawns; N>1 shares the port (SO_REUSEPORT "
+                              "or a shared listener), each worker "
+                              "mmap-loading the same table (E23)")
     p_serve.add_argument("--listener", default="auto",
                          choices=["auto", "reuseport", "shared"],
                          help="how workers share the port: kernel "
@@ -1020,10 +1014,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _serve_spec(args: argparse.Namespace):
     """Validate serve flags into an (EngineSpec, cleanup_paths) pair.
 
-    Multi-worker mode turns ``--compile-table`` into compile-once /
-    mmap-everywhere: the supervisor process compiles, saves to a temp
-    file, and every worker mmap-loads that file — the kernel page cache
-    is the only copy.
+    ``--compile-table`` compiles once, in this process, and saves the
+    table to a temp file that every worker mmap-loads — the kernel page
+    cache is the only copy.
     """
     import tempfile
 
@@ -1035,8 +1028,7 @@ def _serve_spec(args: argparse.Namespace):
         raise SystemExit2(f"--workers must be >= 1, got {args.workers}")
     cleanup: List[str] = []
     table_path = args.table
-    compile_inproc = args.compile_table
-    if args.workers > 1 and args.compile_table:
+    if args.compile_table:
         from repro.core.tables import CompiledRouteTable
 
         table = CompiledRouteTable.compile(args.d, args.k)
@@ -1045,14 +1037,8 @@ def _serve_spec(args: argparse.Namespace):
         handle.close()
         table.save(handle.name)
         table_path = handle.name
-        compile_inproc = False
         cleanup.append(handle.name)
-    spec = EngineSpec(
-        args.d, args.k,
-        table_path=table_path,
-        compile_table=compile_inproc,
-    )
-    return spec, cleanup
+    return EngineSpec(args.d, args.k, table_path=table_path), cleanup
 
 
 class SystemExit2(Exception):
@@ -1077,13 +1063,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         read_timeout=args.read_timeout,
         max_connections=args.max_connections)
 
-    tier = "table" if spec.table_path or spec.compile_table else "planner"
+    tier = "table" if spec.table_path else "planner"
 
     try:
-        if args.workers > 1:
-            snapshot = _serve_fleet(args, spec, server_config, tier)
-        else:
-            snapshot = _serve_single(args, spec, server_config, tier)
+        snapshot = _serve_fleet(args, spec, server_config, tier)
     finally:
         for path in cleanup:
             try:
@@ -1101,34 +1084,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         [(name, counters[name]) for name in sorted(counters)
          if name.startswith(("server.", "fleet."))]))
     return 0
-
-
-def _serve_single(args, spec, server_config, tier: str) -> dict:
-    import asyncio
-
-    from repro.service.server import RouteQueryServer
-
-    engine = spec.build()
-    server = RouteQueryServer(engine, server_config)
-
-    async def _serve() -> None:
-        port = await server.start()
-        print(f"serving DG({args.d},{args.k}) on {args.host}:{port} "
-              f"({tier} tier, queue bound {args.max_pending})", flush=True)
-        try:
-            if args.duration is not None:
-                await asyncio.sleep(args.duration)
-            else:
-                while True:
-                    await asyncio.sleep(3600)
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return server.snapshot()
 
 
 def _serve_fleet(args, spec, server_config, tier: str) -> dict:

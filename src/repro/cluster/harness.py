@@ -24,13 +24,12 @@ readiness never races a bind and a killed node's ports die with it
 
 from __future__ import annotations
 
-import asyncio
+import concurrent.futures
 import os
 import signal
 import socket
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.codec import peek_source
@@ -39,9 +38,10 @@ from repro.core.arraybfs import ACTION_UNREACHABLE
 from repro.core.packed import PackedSpace
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.resilience import compile_with_failures
-from repro.service.chaosproxy import DatagramFaultPlan, UdpChaosProxy
+from repro.service.chaosproxy import UdpChaosProxy
 from repro.service.client import (RetryPolicy, RobustRouteClient, fetch_stats,
                                   run_robust_burst)
+from repro.service.loop import LoopThread
 from repro.service.metrics import MetricsRegistry
 
 WordTuple = Tuple[int, ...]
@@ -60,13 +60,11 @@ class ClusterSpec:
     probe_timeout: float = 0.12
     suspicion_timeout: float = 0.6
     indirect_probes: int = 1
-    piggyback_limit: int = 8
     seed: str = "cluster"
     repair_delay: float = 0.0
     #: Interpose a :class:`UdpChaosProxy` in front of every node's
     #: membership port (required for :meth:`ClusterHarness.isolate`).
     use_proxies: bool = False
-    proxy_plan: DatagramFaultPlan = field(default_factory=DatagramFaultPlan)
 
     def __post_init__(self) -> None:
         order = self.d ** self.k
@@ -111,37 +109,6 @@ class ClusterSpec:
                 + 1.0)
 
 
-class _ProxyLoopThread:
-    """A private event loop thread hosting the UDP chaos proxies."""
-
-    def __init__(self) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="cluster-proxy-loop", daemon=True)
-        self._thread.start()
-        self._ready.wait()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.call_soon(self._ready.set)
-        self.loop.run_forever()
-
-    def call(self, coro):
-        """Run a coroutine on the proxy loop and wait for its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(10.0)
-
-    def fire(self, fn, *args) -> None:
-        """Invoke a plain callable on the proxy loop (fire-and-forget)."""
-        self.loop.call_soon_threadsafe(fn, *args)
-
-    def close(self) -> None:
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5.0)
-        if not self.loop.is_closed():
-            self.loop.close()
-
-
 class ClusterHarness:
     """Spawn, fault, observe, and tear down a real-process cluster."""
 
@@ -154,7 +121,7 @@ class ClusterHarness:
         self.swim_ports: List[int] = []
         self.proxies: List[Optional[UdpChaosProxy]] = []
         self.registry = MetricsRegistry()
-        self._proxy_loop: Optional[_ProxyLoopThread] = None
+        self._proxy_loop: Optional[LoopThread] = None
         self._space = PackedSpace(spec.d, spec.k)
         self._digests: Dict[FrozenSet[int], int] = {}
 
@@ -193,10 +160,10 @@ class ClusterHarness:
         # (only used as documentation — the socket rides the fork).
         peer_addrs = list(real_swim)
         if spec.use_proxies:
-            self._proxy_loop = _ProxyLoopThread()
+            self._proxy_loop = LoopThread(name="cluster-proxy-loop")
             for node in range(spec.nodes):
                 proxy = UdpChaosProxy(
-                    real_swim[node], plan=spec.proxy_plan, host=spec.host,
+                    real_swim[node], host=spec.host,
                     sender_of=peek_source, registry=self.registry)
                 addr = self._proxy_loop.call(proxy.start())
                 self.proxies.append(proxy)
@@ -223,7 +190,6 @@ class ClusterHarness:
                 probe_timeout=spec.probe_timeout,
                 suspicion_timeout=spec.suspicion_timeout,
                 indirect_probes=spec.indirect_probes,
-                piggyback_limit=spec.piggyback_limit,
                 seed=spec.seed,
                 repair_delay=spec.repair_delay,
             )
@@ -571,86 +537,86 @@ def run_kill_drill(
         fallbacks = [(host, harness.tcp_ports[n]) for n in survivors]
         healed_from: List[float] = []  # the last repair stamp, once seen
         chunks: List[Dict[str, float]] = []
-        burst_result: Dict[str, object] = {}
         chunk_size = max(burst_window, 256)
 
-        def _burst() -> None:
-            async def _run() -> None:
-                async with RobustRouteClient(
-                    host, harness.tcp_ports[victim], d=spec.d,
-                    policy=RetryPolicy(retries=8, backoff_base=0.02,
-                                       deadline=60.0),
-                    fallbacks=fallbacks,
-                ) as client:
-                    index = 0
-                    asked = 0
-                    while asked < queries or not (
-                            healed_from and chunks
-                            and chunks[-1]["start"] >= healed_from[0]):
-                        chunk = [pairs[(index + j) % len(pairs)]
-                                 for j in range(chunk_size)]
-                        index += chunk_size
-                        started = time.monotonic()
-                        outcome = await client.query_many(
-                            chunk, directed=spec.directed,
-                            window=burst_window)
-                        ok = sum(1 for r in outcome.replies if r.ok)
-                        asked += len(outcome.replies)
-                        chunks.append({
-                            "start": started,
-                            "end": time.monotonic(),
-                            "queries": len(outcome.replies),
-                            "ok": ok,
-                        })
-                    burst_result["snapshot"] = client.registry.snapshot()
+        async def _burst() -> Dict[str, object]:
+            async with RobustRouteClient(
+                host, harness.tcp_ports[victim], d=spec.d,
+                policy=RetryPolicy(retries=8, backoff_base=0.02,
+                                   deadline=60.0),
+                fallbacks=fallbacks,
+            ) as client:
+                index = 0
+                asked = 0
+                while asked < queries or not (
+                        healed_from and chunks
+                        and chunks[-1]["start"] >= healed_from[0]):
+                    chunk = [pairs[(index + j) % len(pairs)]
+                             for j in range(chunk_size)]
+                    index += chunk_size
+                    started = time.monotonic()
+                    outcome = await client.query_many(
+                        chunk, directed=spec.directed,
+                        window=burst_window)
+                    ok = sum(1 for r in outcome.replies if r.ok)
+                    asked += len(outcome.replies)
+                    chunks.append({
+                        "start": started,
+                        "end": time.monotonic(),
+                        "queries": len(outcome.replies),
+                        "ok": ok,
+                    })
+                return client.registry.snapshot()
 
-            asyncio.run(_run())
+        burst_loop = LoopThread(name="drill-burst")
+        try:
+            burst = burst_loop.submit(_burst())
+            time.sleep(0.1)  # let the burst get in flight
 
-        burst_thread = threading.Thread(target=_burst, name="drill-burst")
-        burst_thread.start()
-        time.sleep(0.1)  # let the burst get in flight
-
-        # A survivor's own incarnation rises only when a peer suspected
-        # it and it had to refute: compared again after the repair.
-        incarnation_before = {
-            node: harness.counters(node).get("swim.incarnation", 0)
-            for node in survivors}
-        kill_stamp = harness.kill(victim)
-        verdicts = harness.wait_for_verdict([victim])
-        detection = {node: stamp - kill_stamp
-                     for node, stamp in verdicts.items()}
-        bound = spec.detection_bound()
-        worst = max(detection.values())
-        if worst > bound:
-            raise SimulationError(
-                f"detection took {worst:.2f}s, bound is {bound:.2f}s")
-
-        repaired = harness.wait_repaired([victim])
-        last_repair = max(repaired.values())
-        healed_from.append(last_repair)
-        repair_latency = {node: stamp - kill_stamp
-                          for node, stamp in repaired.items()}
-        want_digest = harness.expected_digest([victim])
-        digests: Dict[int, int] = {}
-        dead_masks: Dict[int, int] = {}
-        incarnations: Dict[int, List[int]] = {}
-        detoured = 0
-        for node in survivors:
-            counters = harness.counters(node)
-            digests[node] = counters.get("cluster.table_digest", -1)
-            dead_masks[node] = counters.get("cluster.dead_mask", -1)
-            incarnations[node] = [incarnation_before[node],
-                                  counters.get("swim.incarnation", 0)]
-            detoured += counters.get("cluster.detoured_queries", 0)
-            if digests[node] != want_digest:
+            # A survivor's own incarnation rises only when a peer
+            # suspected it and it had to refute: compared again after
+            # the repair.
+            incarnation_before = {
+                node: harness.counters(node).get("swim.incarnation", 0)
+                for node in survivors}
+            kill_stamp = harness.kill(victim)
+            verdicts = harness.wait_for_verdict([victim])
+            detection = {node: stamp - kill_stamp
+                         for node, stamp in verdicts.items()}
+            bound = spec.detection_bound()
+            worst = max(detection.values())
+            if worst > bound:
                 raise SimulationError(
-                    f"node {node} repaired digest {digests[node]:#x} != "
-                    f"fresh compile {want_digest:#x}")
+                    f"detection took {worst:.2f}s, bound is {bound:.2f}s")
 
-        burst_thread.join(timeout=180.0)
-        if burst_thread.is_alive():
-            raise SimulationError("drill burst did not finish")
-        snapshot = burst_result["snapshot"]
+            repaired = harness.wait_repaired([victim])
+            last_repair = max(repaired.values())
+            healed_from.append(last_repair)
+            repair_latency = {node: stamp - kill_stamp
+                              for node, stamp in repaired.items()}
+            want_digest = harness.expected_digest([victim])
+            digests: Dict[int, int] = {}
+            dead_masks: Dict[int, int] = {}
+            incarnations: Dict[int, List[int]] = {}
+            detoured = 0
+            for node in survivors:
+                counters = harness.counters(node)
+                digests[node] = counters.get("cluster.table_digest", -1)
+                dead_masks[node] = counters.get("cluster.dead_mask", -1)
+                incarnations[node] = [incarnation_before[node],
+                                      counters.get("swim.incarnation", 0)]
+                detoured += counters.get("cluster.detoured_queries", 0)
+                if digests[node] != want_digest:
+                    raise SimulationError(
+                        f"node {node} repaired digest {digests[node]:#x} != "
+                        f"fresh compile {want_digest:#x}")
+
+            try:
+                snapshot = burst.result(timeout=180.0)
+            except concurrent.futures.TimeoutError:
+                raise SimulationError("drill burst did not finish") from None
+        finally:
+            burst_loop.close()
         total = sum(int(c["queries"]) for c in chunks)
         total_ok = sum(int(c["ok"]) for c in chunks)
         lost = total - total_ok

@@ -104,7 +104,6 @@ class ClusterNodeSpec:
     probe_timeout: float = 0.12
     suspicion_timeout: float = 0.6
     indirect_probes: int = 1
-    piggyback_limit: int = 8
     seed: str = "cluster"
     repair_delay: float = 0.0
 
@@ -115,7 +114,6 @@ class ClusterNodeSpec:
             probe_timeout=self.probe_timeout,
             indirect_probes=self.indirect_probes,
             suspicion_timeout=self.suspicion_timeout,
-            piggyback_limit=self.piggyback_limit,
             seed=self.seed,
         )
 

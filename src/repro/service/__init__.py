@@ -33,6 +33,9 @@ in-process.  This package puts it on the wire:
   proxy driven by a seeded replayable :class:`FaultPlan` (latency,
   bandwidth caps, mid-frame resets, corruption, partitions, trickle)
   that the hardened client/server/supervisor stack is tested against.
+* :mod:`repro.service.loop` — :class:`~repro.service.loop.LoopThread`,
+  the event-loop thread every synchronous wrapper (``SupervisorThread``,
+  ``ChaosProxyThread``, the cluster harness) runs its loop on.
 
 Quickstart (see also ``examples/serve_queries.py``)::
 

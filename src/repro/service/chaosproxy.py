@@ -44,18 +44,17 @@ import asyncio
 import random
 import socket
 import struct
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ServiceError
+from repro.service.loop import LoopThread
 from repro.service.metrics import MetricsRegistry
 
 __all__ = [
     "FaultPlan",
     "ChaosProxy",
     "ChaosProxyThread",
-    "DatagramFaultPlan",
     "UdpChaosProxy",
     "DIRECTIONS",
 ]
@@ -471,32 +470,12 @@ class ChaosProxyThread:
         self.proxy = ChaosProxy(
             upstream_host, upstream_port, plan=plan, host=host, port=port
         )
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._failure: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="chaos-proxy", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(start_timeout):
+        self._loop = LoopThread(name="chaos-proxy")
+        try:
+            self._loop.call(self.proxy.start(), start_timeout)
+        except Exception as exc:
             self.close()
-            raise ServiceError("chaos proxy did not start in time")
-        if self._failure is not None:
-            raise ServiceError(f"chaos proxy failed to start: {self._failure!r}")
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-
-        async def boot() -> None:
-            try:
-                await self.proxy.start()
-            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-                self._failure = exc
-            finally:
-                self._ready.set()
-
-        self._loop.create_task(boot())
-        self._loop.run_forever()
+            raise ServiceError(f"chaos proxy failed to start: {exc!r}") from exc
 
     @property
     def port(self) -> int:
@@ -506,17 +485,13 @@ class ChaosProxyThread:
     def registry(self) -> MetricsRegistry:
         return self.proxy.registry
 
-    def _call(self, fn, timeout: float = 10.0):
-        fut = asyncio.run_coroutine_threadsafe(fn(), self._loop)
-        return fut.result(timeout)
-
     def partition(self) -> None:
         """Thread-safe :meth:`ChaosProxy.partition`."""
-        self._loop.call_soon_threadsafe(self.proxy.partition)
+        self._loop.fire(self.proxy.partition)
 
     def heal(self) -> None:
         """Thread-safe :meth:`ChaosProxy.heal`."""
-        self._loop.call_soon_threadsafe(self.proxy.heal)
+        self._loop.fire(self.proxy.heal)
 
     def snapshot(self) -> Dict[str, object]:
         """Thread-safe :meth:`ChaosProxy.snapshot`."""
@@ -524,17 +499,14 @@ class ChaosProxyThread:
 
     def close(self) -> None:
         """Stop the proxy and join its event-loop thread."""
-        if self._loop.is_closed():
+        if self._loop.closed:
             return
         try:
-            if self._ready.is_set() and self._failure is None:
-                fut = asyncio.run_coroutine_threadsafe(self.proxy.stop(), self._loop)
-                fut.result(10.0)
+            self._loop.call(self.proxy.stop())
         except Exception:
             pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(10.0)
-        self._loop.close()
+        finally:
+            self._loop.close()
 
     def __enter__(self) -> "ChaosProxyThread":
         return self
@@ -546,33 +518,6 @@ class ChaosProxyThread:
 # ----------------------------------------------------------------------
 # Datagram (membership-port) chaos
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DatagramFaultPlan:
-    """Seeded wire faults for a UDP relay (the SWIM membership port).
-
-    Datagram semantics make most TCP faults meaningless (no streams to
-    reset or trickle); what remains is exactly what SWIM is built to
-    survive: loss, delay, and darkness.  ``drop_rate`` is a per-datagram
-    Bernoulli draw; latency/jitter delay the relay of each datagram
-    independently (reordering included, as real networks do).
-    """
-
-    seed: str = "udp-chaos"
-    #: Per-datagram probability of silent loss.
-    drop_rate: float = 0.0
-    #: Added relay latency per datagram, milliseconds.
-    latency_ms: float = 0.0
-    #: Uniform extra jitter on top of ``latency_ms``, milliseconds.
-    jitter_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError(
-                f"drop_rate must be in [0, 1], got {self.drop_rate}")
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency_ms and jitter_ms must be non-negative")
 
 
 class _UdpRelayProtocol(asyncio.DatagramProtocol):
@@ -608,14 +553,12 @@ class UdpChaosProxy:
     def __init__(
         self,
         upstream: Tuple[str, int],
-        plan: Optional[DatagramFaultPlan] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         sender_of=None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.upstream = upstream
-        self.plan = plan if plan is not None else DatagramFaultPlan()
         self.host = host
         self.port = port
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -625,7 +568,6 @@ class UdpChaosProxy:
         self.blocked_senders: set = set()
         self._partitioned = False
         self._transport = None
-        self._rng = random.Random(f"{self.plan.seed}:{upstream}")
 
     async def start(self) -> Tuple[str, int]:
         """Bind the relay socket; returns the address peers should dial."""
@@ -673,27 +615,11 @@ class UdpChaosProxy:
             if sender in self.blocked_senders:
                 registry.inc("proxy.datagrams_blocked")
                 return
-        plan = self.plan
-        rng = self._rng
-        if plan.drop_rate > 0 and rng.random() < plan.drop_rate:
-            registry.inc("proxy.datagrams_dropped")
-            return
-        delay = 0.0
-        if plan.latency_ms > 0 or plan.jitter_ms > 0:
-            delay = (plan.latency_ms
-                     + rng.uniform(0.0, plan.jitter_ms)) / 1000.0
-        if delay > 0:
-            asyncio.get_running_loop().call_later(
-                delay, self._forward, data)
-        else:
-            self._forward(data)
-
-    def _forward(self, data: bytes) -> None:
         transport = self._transport
         if transport is None or transport.is_closing():
             return
         transport.sendto(data, self.upstream)
-        self.registry.inc("proxy.datagrams_relayed")
+        registry.inc("proxy.datagrams_relayed")
 
     async def stop(self) -> None:
         """Close the relay socket."""

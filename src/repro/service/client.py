@@ -19,7 +19,7 @@ Retrying is :class:`RetryPolicy`'s job alone, in exactly two places:
 * :class:`RobustRouteClient` re-asks a burst's unanswered queries under
   the policy's retry budget and deadline, with a
   :class:`CircuitBreaker` (closed → open → half-open with a single
-  probe), optional hedging and endpoint failover.  It guarantees every
+  probe) and endpoint failover.  It guarantees every
   query gets *an* answer — a server reply, or a synthetic ``TIMEOUT``
   reply carrying :data:`CLIENT_DEADLINE_MESSAGE` once the budget is
   spent.  Resilience events are counted in a
@@ -60,6 +60,9 @@ from repro.service.protocol import (
 CLIENT_DEADLINE_MESSAGE = "client deadline exceeded"
 
 _T = TypeVar("_T")
+
+#: Seconds a client waits for a TCP connection to open.
+CONNECT_TIMEOUT = 5.0
 
 #: Error codes worth re-asking: transient server-side conditions, plus
 #: ``MALFORMED``/``INTERNAL`` which, for a query the client knows it
@@ -161,7 +164,6 @@ class RouteServiceClient:
         port: int,
         d: Optional[int] = None,
         pool_size: int = 1,
-        connect_timeout: float = 5.0,
     ) -> None:
         if pool_size < 1:
             raise ServiceError(f"pool size must be >= 1, got {pool_size}")
@@ -169,7 +171,6 @@ class RouteServiceClient:
         self.port = port
         self.d = d
         self.pool_size = pool_size
-        self.connect_timeout = connect_timeout
         self._pool: List[Optional[_PooledConnection]] = [None] * pool_size
 
     async def _connection(self, index: int) -> _PooledConnection:
@@ -178,7 +179,7 @@ class RouteServiceClient:
         if connection is None or connection.writer.is_closing():
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port),
-                timeout=self.connect_timeout,
+                timeout=CONNECT_TIMEOUT,
             )
             connection = _PooledConnection(reader, writer)
             self._pool[slot] = connection
@@ -410,10 +411,7 @@ class RetryPolicy:
     :class:`RobustRouteClient` bursts and the one-shot helpers alike;
     the other fields shape bursts only.  ``deadline`` is the wall-clock
     budget (seconds) shared by every query in one burst — all attempts,
-    backoffs and breaker waits must fit inside it.  ``hedge_after`` arms
-    hedging: if an attempt has not completed within that many seconds,
-    the same queries are raced on a second connection and the first
-    finisher wins.
+    backoffs and breaker waits must fit inside it.
     """
 
     retries: int = 4
@@ -425,7 +423,6 @@ class RetryPolicy:
     #: partitions (connect succeeds, bytes vanish) fail fast enough for
     #: the circuit breaker to accumulate failures and trip.
     attempt_timeout: Optional[float] = None
-    hedge_after: Optional[float] = None
     seed: str = "retry"
 
     def __post_init__(self) -> None:
@@ -433,7 +430,7 @@ class RetryPolicy:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ValueError("backoff_base and backoff_max must be non-negative")
-        for name in ("deadline", "attempt_timeout", "hedge_after"):
+        for name in ("deadline", "attempt_timeout"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -531,8 +528,7 @@ class CircuitBreaker:
 class RobustRouteClient:
     """Hardened client: every query in a burst gets an answer.
 
-    Wraps a primary :class:`RouteServiceClient` (and, when hedging is
-    armed, a second one with its own connection) behind a
+    Wraps a pooled :class:`RouteServiceClient` behind a
     :class:`RetryPolicy` and a :class:`CircuitBreaker`.  Transport
     failures and retryable error replies are re-asked (see
     :meth:`query_many`) until they succeed, the retry budget runs out,
@@ -557,7 +553,6 @@ class RobustRouteClient:
         policy: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
         registry: Optional[MetricsRegistry] = None,
-        connect_timeout: float = 5.0,
         fallbacks: Sequence[Tuple[str, int]] = (),
     ) -> None:
         self.policy = policy or RetryPolicy()
@@ -569,15 +564,7 @@ class RobustRouteClient:
         self._endpoint_index = 0
         self._d = d
         self._pool_size = pool_size
-        self._connect_timeout = connect_timeout
-        self._primary = RouteServiceClient(
-            host, port, d=d, pool_size=pool_size, connect_timeout=connect_timeout
-        )
-        self._hedge: Optional[RouteServiceClient] = None
-        if self.policy.hedge_after is not None:
-            self._hedge = RouteServiceClient(
-                host, port, d=d, pool_size=1, connect_timeout=connect_timeout
-            )
+        self._primary = RouteServiceClient(host, port, d=d, pool_size=pool_size)
 
     @property
     def endpoint(self) -> Tuple[str, int]:
@@ -585,7 +572,7 @@ class RobustRouteClient:
         return self._endpoints[self._endpoint_index]
 
     def _rotate_endpoint(self) -> None:
-        """Point the (already-closed) clients at the next endpoint."""
+        """Point the (already-closed) client at the next endpoint."""
         if len(self._endpoints) < 2:
             return
         self._endpoint_index = (
@@ -594,20 +581,11 @@ class RobustRouteClient:
         host, port = self._endpoints[self._endpoint_index]
         self.registry.inc("client.failovers")
         self._primary = RouteServiceClient(
-            host, port, d=self._d, pool_size=self._pool_size,
-            connect_timeout=self._connect_timeout,
-        )
-        if self._hedge is not None:
-            self._hedge = RouteServiceClient(
-                host, port, d=self._d, pool_size=1,
-                connect_timeout=self._connect_timeout,
-            )
+            host, port, d=self._d, pool_size=self._pool_size)
 
     async def close(self) -> None:
-        """Close the primary (and hedge) clients' pooled connections."""
+        """Close the pooled connections."""
         await self._primary.close()
-        if self._hedge is not None:
-            await self._hedge.close()
 
     async def __aenter__(self) -> "RobustRouteClient":
         return self
@@ -705,8 +683,6 @@ class RobustRouteClient:
                 # when one is configured: even a connection that finished
                 # its shard may sit on a trickling or dying wire.
                 await self._primary.close()
-                if self._hedge is not None:
-                    await self._hedge.close()
                 self._rotate_endpoint()
                 # Rule 3: on a wire that kills connections after a byte
                 # quota, a big pipelined window burns the quota on
@@ -764,74 +740,20 @@ class RobustRouteClient:
         remaining: Optional[float],
         scratch: List[Optional[RouteReply]],
     ) -> None:
-        """One attempt over the primary connection, hedged onto the
-        second connection if it outlives ``hedge_after``.
+        """One attempt over the pooled connections, bounded by
+        ``remaining`` seconds.
 
         ``scratch`` is the caller's results buffer: replies stream into
-        it as they arrive (from the primary and the hedge alike), so
-        the caller keeps whatever this attempt managed even when it is
-        cancelled or errors out.
+        it as they arrive, so the caller keeps whatever this attempt
+        managed even when it is cancelled or errors out.
         """
-        hedge_after = self.policy.hedge_after
-        primary = asyncio.ensure_future(
+        await asyncio.wait_for(
             self._primary.query_many(
                 subset, directed=directed, want_path=want_path, d=d,
                 window=window, results=scratch,
-            )
+            ),
+            remaining,
         )
-        if self._hedge is None or hedge_after is None:
-            await asyncio.wait_for(primary, remaining)
-            return
-        first_wait = hedge_after
-        if remaining is not None:
-            first_wait = min(first_wait, remaining)
-        try:
-            await asyncio.wait_for(asyncio.shield(primary), first_wait)
-            return
-        except asyncio.TimeoutError:
-            if remaining is not None and first_wait >= remaining:
-                await self._reap(primary)
-                raise
-        except Exception:
-            await self._reap(primary)
-            raise
-        self.registry.inc("client.hedges")
-        hedge = asyncio.ensure_future(
-            self._hedge.query_many(
-                subset, directed=directed, want_path=want_path, d=d,
-                window=window, results=scratch,
-            )
-        )
-        racers = {primary, hedge}
-        budget = (
-            None if remaining is None else max(0.001, remaining - first_wait)
-        )
-        try:
-            while racers:
-                done, racers_left = await asyncio.wait(
-                    racers, return_when=asyncio.FIRST_COMPLETED, timeout=budget
-                )
-                if not done:
-                    raise asyncio.TimeoutError()
-                racers = set(racers_left)
-                for task in done:
-                    if not task.cancelled() and task.exception() is None:
-                        if task is hedge:
-                            self.registry.inc("client.hedge_wins")
-                        return
-            # both racers failed: surface the primary's error
-            raise primary.exception() or ServiceError("hedged attempt failed")
-        finally:
-            await self._reap(primary, hedge)
-
-    @staticmethod
-    async def _reap(*tasks: "asyncio.Future") -> None:
-        """Cancel and retrieve stragglers so no 'exception was never
-        retrieved' noise leaks from abandoned racers."""
-        for task in tasks:
-            if not task.done():
-                task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 # ----------------------------------------------------------------------
@@ -851,8 +773,8 @@ def _retry_one_shot(call: Callable[[], Awaitable[_T]],
 
     ``policy`` (default :data:`ONE_SHOT_POLICY`) gives the retry count
     and the :meth:`RetryPolicy.backoff` schedule; its burst fields
-    (``deadline``, ``attempt_timeout``, ``hedge_after``) do not apply to
-    one round trip.  The last attempt's failure propagates.
+    (``deadline``, ``attempt_timeout``) do not apply to one round trip.
+    The last attempt's failure propagates.
     """
     policy = policy or ONE_SHOT_POLICY
 

@@ -29,9 +29,9 @@ scales the service across cores with the classic shared-nothing recipe:
   (``kill -9``, OOM, bug) is respawned with the same index under a
   restart budget.
 
-:class:`SupervisorThread` wraps the asyncio supervisor for synchronous
-callers (benches, tests) the same way ``_LiveServer`` wraps the single-
-process server.
+:class:`SupervisorThread` runs the asyncio supervisor on a
+:class:`~repro.service.loop.LoopThread` for synchronous callers
+(benches, tests); the ``serve`` subcommand runs it on its own loop.
 """
 
 from __future__ import annotations
@@ -43,18 +43,22 @@ import os
 import signal
 import socket
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.exceptions import ServiceError
 from repro.service.engine import EngineSpec, RouteQueryEngine
+from repro.service.loop import LoopThread
 from repro.service.metrics import MetricsRegistry
 from repro.service.server import RouteQueryServer, ServerConfig
 
 #: Listener strategies (see :func:`resolve_listener`).
 LISTENER_MODES = ("auto", "reuseport", "shared")
+#: Seconds a new worker has to report ready over the control channel.
+STARTUP_TIMEOUT = 30.0
+#: Seconds one fleet aggregation waits for the workers' snapshots.
+STATS_TIMEOUT = 2.0
 
 
 def reuseport_supported(host: str = "127.0.0.1") -> bool:
@@ -96,9 +100,7 @@ class SupervisorConfig:
     port: int = 0  #: 0 claims an ephemeral port shared by every worker
     listener: str = "auto"  #: "reuseport", "shared", or auto-detect
     max_restarts: int = 3  #: crashed-worker respawns before giving up
-    startup_timeout: float = 30.0  #: seconds to wait for worker hellos
     drain_timeout: float = 10.0  #: seconds workers get to drain on stop
-    stats_timeout: float = 2.0  #: per-aggregation snapshot collection cap
     #: Seconds between liveness pings over the control channel; 0
     #: disables the probe.  A crashed worker is caught by its process
     #: sentinel, but a *hung* worker (stuck event loop, SIGSTOP,
@@ -361,7 +363,7 @@ class ServiceSupervisor:
             proc.sentinel, self._on_worker_exit, index, proc
         )
         try:
-            await asyncio.wait_for(hello, timeout=self.config.startup_timeout)
+            await asyncio.wait_for(hello, timeout=STARTUP_TIMEOUT)
         except asyncio.TimeoutError:
             raise ServiceError(
                 f"worker {index} (pid {proc.pid}) never reported ready"
@@ -515,7 +517,7 @@ class ServiceSupervisor:
         gathered: List[dict] = []
         done, pending = await asyncio.wait(
             [future for _, _, future in futures],
-            timeout=self.config.stats_timeout,
+            timeout=STATS_TIMEOUT,
         ) if futures else (set(), set())
         for link, seq, future in futures:
             if future in done and not future.cancelled() \
@@ -731,7 +733,7 @@ class SupervisorThread:
     The synchronous twin of :class:`ServiceSupervisor` for benchmark and
     test code: construct it, talk to ``port`` over TCP with the blocking
     client helpers, then :meth:`close`.  ``aggregate()`` and
-    :meth:`kill_worker` bridge into the loop thread-safely.
+    :meth:`escalate` bridge into the loop thread-safely.
     """
 
     def __init__(
@@ -743,40 +745,17 @@ class SupervisorThread:
         self.supervisor = ServiceSupervisor(
             engine_spec, config, engine_factory=engine_factory
         )
-        self.port: int = 0
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        timeout = (self.supervisor.config.startup_timeout
-                   * max(1, self.supervisor.config.workers) + 30)
-        if not self._ready.wait(timeout=timeout):  # pragma: no cover
-            raise ServiceError("supervisor failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                self.port = await self.supervisor.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop.wait()
-            await self.supervisor.stop()
-
-        asyncio.run(_main())
+        self._loop = LoopThread(name="supervisor")
+        timeout = STARTUP_TIMEOUT * self.supervisor.config.workers + 30
+        try:
+            self.port: int = self._loop.call(self.supervisor.start(), timeout)
+        except BaseException:
+            self._loop.close()
+            raise
 
     def aggregate(self, timeout: float = 15.0) -> dict:
         """Fleet-wide snapshot, fetched through the supervisor directly."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.supervisor.aggregate(), self._loop
-        )
-        return future.result(timeout=timeout)
+        return self._loop.call(self.supervisor.aggregate(), timeout)
 
     def worker_pids(self) -> List[int]:
         """Live worker pids, ordered by worker index."""
@@ -788,7 +767,7 @@ class SupervisorThread:
 
     def escalate(self) -> None:
         """Thread-safe :meth:`ServiceSupervisor.escalate` (second SIGTERM)."""
-        self._loop.call_soon_threadsafe(self.supervisor.escalate)
+        self._loop.fire(self.supervisor.escalate)
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` workers are alive (respawn settling)."""
@@ -801,9 +780,12 @@ class SupervisorThread:
 
     def close(self) -> None:
         """Drain the fleet and join the loop thread."""
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
-            self._thread.join(timeout=60)
+        if self._loop.closed:
+            return
+        try:
+            self._loop.call(self.supervisor.stop(), timeout=60)
+        finally:
+            self._loop.close()
 
     def __enter__(self) -> "SupervisorThread":
         return self

@@ -5,14 +5,14 @@ from __future__ import annotations
 import asyncio
 import logging
 import random
-import threading
 import time
 from contextlib import contextmanager
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service.chaosproxy import ChaosProxy, ChaosProxyThread, FaultPlan
+from repro.service.chaosproxy import (ChaosProxy, ChaosProxyThread,
+                                      FaultPlan, UdpChaosProxy)
 from repro.service.client import (
     CLIENT_DEADLINE_MESSAGE,
     BreakerConfig,
@@ -24,6 +24,7 @@ from repro.service.client import (
     run_robust_burst,
 )
 from repro.service.engine import RouteQueryEngine
+from repro.service.loop import LoopThread
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import encode_query
 from repro.service.server import RouteQueryServer
@@ -37,18 +38,16 @@ def run(coro):
 @contextmanager
 def _server_thread(d=2, k=6):
     """A live server on a background loop, for sync-caller tests."""
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
+    loop = LoopThread(name="chaos-test-server")
     server = RouteQueryServer(RouteQueryEngine(d, k))
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
+    loop.call(server.start())
     try:
         yield server
     finally:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
+        try:
+            loop.call(server.stop())
+        finally:
+            loop.close()
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +398,89 @@ def test_proxy_thread_wraps_sync_callers():
                                 _pairs(2, 6, 30, 8), 2)
             assert outcome.ok_count == 30
             assert proxy.snapshot()["counters"]["proxy.connections"] >= 1
+
+
+def test_proxy_thread_timed_partition_heals_then_relays():
+    """``FaultPlan.partition_at`` opens one partition and its heal ends
+    it; a burst sent after the heal completes."""
+    started = time.monotonic()
+    with _server_thread() as server:
+        plan = FaultPlan(seed="timed", partition_at=0.1,
+                         partition_duration=0.3)
+        with ChaosProxyThread("127.0.0.1", server.port, plan) as proxy:
+            deadline = time.monotonic() + 5.0
+            while proxy.snapshot()["counters"].get("proxy.heals", 0) < 1:
+                assert time.monotonic() < deadline, "the proxy never healed"
+                time.sleep(0.02)
+            assert time.monotonic() - started >= 0.35
+            outcome = run_burst("127.0.0.1", proxy.port,
+                                _pairs(2, 6, 30, 13), 2)
+            assert outcome.ok_count == 30
+            counters = proxy.snapshot()["counters"]
+            assert counters["proxy.partitions"] == 1
+            assert counters["proxy.heals"] == 1
+
+
+def test_udp_proxy_relays_partitions_and_blocks_senders():
+    """The datagram relay forwards, black-holes while partitioned,
+    resumes after ``heal()`` and drops a blocked sender's datagrams,
+    counting each outcome."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        received: "asyncio.Queue[bytes]" = asyncio.Queue()
+
+        class _Sink(asyncio.DatagramProtocol):
+            def datagram_received(self, data, addr):
+                received.put_nowait(data)
+
+        sink, _ = await loop.create_datagram_endpoint(
+            _Sink, local_addr=("127.0.0.1", 0))
+        # The first byte of each test datagram names its sender.
+        proxy = UdpChaosProxy(sink.get_extra_info("sockname"),
+                              sender_of=lambda data: data[0])
+        address = await proxy.start()
+        sender, _ = await loop.create_datagram_endpoint(
+            asyncio.DatagramProtocol, remote_addr=address)
+
+        def counter(name):
+            return proxy.registry.snapshot()["counters"].get(name, 0)
+
+        async def relayed(data):
+            sender.sendto(data)
+            return await asyncio.wait_for(received.get(), 5.0)
+
+        async def discarded(data, name):
+            before = counter(name)
+            sender.sendto(data)
+            deadline = loop.time() + 5.0
+            while counter(name) == before:
+                assert loop.time() < deadline, f"{name} never counted"
+                await asyncio.sleep(0.01)
+
+        try:
+            assert await relayed(b"\x01a") == b"\x01a"
+            proxy.partition()
+            await discarded(b"\x01b", "proxy.datagrams_blackholed")
+            proxy.heal()
+            assert await relayed(b"\x01c") == b"\x01c"
+            proxy.block_sender(1)
+            await discarded(b"\x01d", "proxy.datagrams_blocked")
+            assert await relayed(b"\x02e") == b"\x02e"
+            proxy.unblock_sender(1)
+            assert await relayed(b"\x01f") == b"\x01f"
+            assert received.empty()
+            assert counter("proxy.datagrams_relayed") == 4
+            assert counter("proxy.datagrams_blackholed") == 1
+            assert counter("proxy.datagrams_blocked") == 1
+            assert counter("proxy.partitions") == 1
+            assert counter("proxy.heals") == 1
+        finally:
+            sender.close()
+            await proxy.stop()
+            sink.close()
+        return True
+
+    assert run(scenario())
 
 
 # ----------------------------------------------------------------------

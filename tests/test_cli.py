@@ -292,33 +292,20 @@ class _BackgroundServer:
     """A live route-query server on an ephemeral port, for CLI tests."""
 
     def __init__(self, d=2, k=4, **config_kwargs):
-        import asyncio
-        import threading
-
         from repro.service.engine import RouteQueryEngine
+        from repro.service.loop import LoopThread
         from repro.service.server import RouteQueryServer, ServerConfig
 
-        self._ready = threading.Event()
-        self.port = None
-
-        async def _run():
-            server = RouteQueryServer(
-                RouteQueryEngine(d, k), ServerConfig(**config_kwargs))
-            self.port = await server.start()
-            self._stop = asyncio.Event()
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-            await self._stop.wait()
-            await server.stop()
-
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(_run()), daemon=True)
-        self._thread.start()
-        assert self._ready.wait(timeout=10), "server failed to start"
+        self._server = RouteQueryServer(
+            RouteQueryEngine(d, k), ServerConfig(**config_kwargs))
+        self._loop = LoopThread(name="cli-test-server")
+        self.port = self._loop.call(self._server.start())
 
     def close(self):
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=10)
+        try:
+            self._loop.call(self._server.stop())
+        finally:
+            self._loop.close()
 
 
 @pytest.fixture
@@ -335,6 +322,10 @@ def test_serve_command_runs_for_duration(capsys):
     assert "serving DG(2,3)" in out
     assert "server.queue_peak: 0" in out
     assert "server.open_connections: 0" in out
+    # One worker runs under the supervisor, like N > 1.
+    assert "1 workers via" in out
+    assert "fleet.workers: 1" in out
+    assert "fleet.workers_lost: 0" in out
 
 
 def test_serve_command_writes_stats_json(tmp_path, capsys):
@@ -488,7 +479,7 @@ def test_resilience_from_args_defaults_to_off():
     from repro.cli import _resilience_from_args
 
     ns = argparse.Namespace(
-        retries=None, deadline_ms=None, hedge_ms=None,
+        retries=None, deadline_ms=None,
         attempt_timeout_ms=None, breaker_failures=5,
         breaker_probe_ms=1000.0, seed=0)
     assert _resilience_from_args(ns) == (None, None)
@@ -497,17 +488,14 @@ def test_resilience_from_args_defaults_to_off():
     policy, breaker = _resilience_from_args(ns)
     assert policy.retries == 3
     assert policy.deadline == 30.0
-    assert policy.hedge_after is None
     assert breaker.failure_threshold == 5
     assert breaker.probe_interval == 1.0
 
     ns.deadline_ms = 5000.0
     ns.attempt_timeout_ms = 500.0
-    ns.hedge_ms = 250.0
     policy, _ = _resilience_from_args(ns)
     assert policy.deadline == 5.0
     assert policy.attempt_timeout == 0.5
-    assert policy.hedge_after == 0.25
 
 
 def test_query_command_burst_with_retries(live_server, capsys):
